@@ -65,17 +65,23 @@ stream-smoke:
 
 # Fleet-tier gate: the consistent-hash ring, async job manager and
 # persistent store package suites, plus the in-process coordinator /
-# failover / store-restart / limits-validation service tests.
+# failover / store-restart / limits-validation service tests (all three
+# keyed endpoints) and the pinned content keys existing stores rely on.
 fleet-smoke:
 	$(GO) test ./internal/shard ./internal/jobs ./internal/store -count=1
-	$(GO) test ./internal/service -run 'TestJob|TestCoordinator|TestStoreTier|TestLimits' -count=1
+	$(GO) test ./internal/service -run 'TestJob|TestCoordinator|TestStoreTier|TestLimits|TestContentKeys' -count=1
+
+# The service's shared endpoint suite: each of these tests runs one subtest
+# per keyed endpoint (run, mutate, search).
+ENDPOINT_SUITE := TestEndpointMissThenHit|TestCanonicalizationSharesCacheEntry|TestBadRequests|TestSingleflightCoalescing|TestQueueFullReturns429|TestPerRequestTimeout|TestStoreTierServesAcrossRestart|TestCoordinatorForwardsAndCachesOnWorker
 
 # Adversarial-search gate: the optimizer property/determinism suite, the
-# S1 frontier-retreat acceptance test and the /v1/search endpoint tests.
+# S1 frontier-retreat acceptance test and the search rows of the endpoint
+# suite.
 search-smoke:
 	$(GO) test ./internal/search -count=1
 	$(GO) test ./internal/harness -run 'TestSearchFrontierRetreat' -count=1
-	$(GO) test ./internal/service -run 'TestSearch' -count=1
+	$(GO) test ./internal/service -run '^($(ENDPOINT_SUITE))$$/^search$$' -count=1
 
 # Run each native fuzz target for $(FUZZTIME) on top of its committed seed
 # corpus — a cheap crash/contract smoke, not a deep campaign.

@@ -67,19 +67,34 @@ func (c *Client) Run(ctx context.Context, req Request) (*Response, *CallInfo, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: marshal request: %w", err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/run", bytes.NewReader(payload))
+	info, err := c.post(ctx, "/v1/run", payload, http.StatusOK)
 	if err != nil {
-		return nil, nil, err
+		return nil, info, err
+	}
+	var resp Response
+	if err := json.Unmarshal(info.Body, &resp); err != nil {
+		return nil, info, fmt.Errorf("service: decode response: %w", err)
+	}
+	return &resp, info, nil
+}
+
+// post sends one request document to route. A 429 answer is a
+// *QueueFullError and any status other than want an error; info is
+// non-nil whenever the server answered.
+func (c *Client) post(ctx context.Context, route string, payload []byte, want int) (*CallInfo, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+route, bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hres, err := c.httpClient().Do(hreq)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer hres.Body.Close()
 	body, err := io.ReadAll(hres.Body)
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: read response: %w", err)
+		return nil, fmt.Errorf("service: read response: %w", err)
 	}
 	info := &CallInfo{
 		Cache:   hres.Header.Get(CacheHeader),
@@ -92,16 +107,12 @@ func (c *Client) Run(ctx context.Context, req Request) (*Response, *CallInfo, er
 		if secs, err := strconv.Atoi(hres.Header.Get("Retry-After")); err == nil && secs > 0 {
 			retry = time.Duration(secs) * time.Second
 		}
-		return nil, info, &QueueFullError{RetryAfter: retry}
+		return info, &QueueFullError{RetryAfter: retry}
 	}
-	if hres.StatusCode != http.StatusOK {
-		return nil, info, fmt.Errorf("service: %s: %s", hres.Status, strings.TrimSpace(string(body)))
+	if hres.StatusCode != want {
+		return info, fmt.Errorf("service: POST %s: %s: %s", route, hres.Status, strings.TrimSpace(string(body)))
 	}
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, info, fmt.Errorf("service: decode response: %w", err)
-	}
-	return &resp, info, nil
+	return info, nil
 }
 
 // Metrics fetches the server's JSON metrics snapshot (/metrics.json).

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -27,32 +26,12 @@ func (c *Client) SubmitJob(ctx context.Context, req Request) (jobs.Snapshot, err
 	if err != nil {
 		return jobs.Snapshot{}, fmt.Errorf("service: marshal request: %w", err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/jobs", bytes.NewReader(payload))
+	info, err := c.post(ctx, "/v1/jobs", payload, http.StatusAccepted)
 	if err != nil {
 		return jobs.Snapshot{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return jobs.Snapshot{}, err
-	}
-	defer hres.Body.Close()
-	body, err := io.ReadAll(hres.Body)
-	if err != nil {
-		return jobs.Snapshot{}, fmt.Errorf("service: read response: %w", err)
-	}
-	if hres.StatusCode == http.StatusTooManyRequests {
-		retry := time.Second
-		if secs, err := strconv.Atoi(hres.Header.Get("Retry-After")); err == nil && secs > 0 {
-			retry = time.Duration(secs) * time.Second
-		}
-		return jobs.Snapshot{}, &QueueFullError{RetryAfter: retry}
-	}
-	if hres.StatusCode != http.StatusAccepted {
-		return jobs.Snapshot{}, fmt.Errorf("service: POST /v1/jobs: %s: %s", hres.Status, strings.TrimSpace(string(body)))
 	}
 	var snap jobs.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
+	if err := json.Unmarshal(info.Body, &snap); err != nil {
 		return jobs.Snapshot{}, fmt.Errorf("service: decode job snapshot: %w", err)
 	}
 	return snap, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -135,7 +136,7 @@ func (f *Fleet) membership() (views []workerView, healthy int) {
 // names the backend that answered. A fleet-wide failure returns 502 with
 // the error envelope (err stays nil — the contract matches runKeyed:
 // only ctx expiry is an error).
-func (f *Fleet) forward(ctx context.Context, sp *telemetry.Span, canon Request, key string) (body []byte, status int, disposition, worker string, err error) {
+func (f *Fleet) forward(ctx context.Context, sp *telemetry.Span, canon keyedRequest, key string) (body []byte, status int, disposition, worker string, err error) {
 	payload, merr := json.Marshal(canon)
 	if merr != nil {
 		return errorBody("marshal request: " + merr.Error()), http.StatusInternalServerError, "", "", nil
@@ -155,9 +156,15 @@ func (f *Fleet) forward(ctx context.Context, sp *telemetry.Span, canon Request, 
 		}
 		fw := sp.StartChild("forward")
 		fw.SetAttr("worker", n.Name)
-		body, status, disposition, err := f.forwardOne(ctx, n, payload, sp)
+		body, status, disposition, err := f.forwardOne(ctx, n, canon.route(), payload, sp)
 		fw.SetAttr("disposition", disposition)
 		fw.End()
+		if errors.Is(err, errReplyTooLarge) {
+			// The owner answered, but with more than the coordinator relays;
+			// every replica would send the same bytes, so fail now without
+			// downing a healthy worker or failing over.
+			return errorBody(err.Error()), http.StatusBadGateway, "", n.Name, nil
+		}
 		if err != nil {
 			lastErr = err
 			// Passive health: a transport failure downs the worker now
@@ -183,11 +190,18 @@ func (f *Fleet) forward(ctx context.Context, sp *telemetry.Span, canon Request, 
 		http.StatusBadGateway, "", "", nil
 }
 
-// forwardOne executes one forwarded POST /v1/run against one worker.
-func (f *Fleet) forwardOne(ctx context.Context, n *shard.Node, payload []byte, sp *telemetry.Span) (body []byte, status int, disposition string, err error) {
+// maxReplyBytes bounds one forwarded reply body.
+const maxReplyBytes = maxBodyBytes * 16
+
+// errReplyTooLarge marks a worker reply over maxReplyBytes. Relaying a
+// truncated prefix would serve (and let a job store) a corrupt 200.
+var errReplyTooLarge = fmt.Errorf("reply exceeds %d bytes", maxReplyBytes)
+
+// forwardOne executes one forwarded POST of route against one worker.
+func (f *Fleet) forwardOne(ctx context.Context, n *shard.Node, route string, payload []byte, sp *telemetry.Span) (body []byte, status int, disposition string, err error) {
 	n.Begin()
 	defer n.Done()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, n.URL+"/v1/run", bytes.NewReader(payload))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, n.URL+route, bytes.NewReader(payload))
 	if err != nil {
 		return nil, 0, "", err
 	}
@@ -202,9 +216,12 @@ func (f *Fleet) forwardOne(ctx context.Context, n *shard.Node, payload []byte, s
 		return nil, 0, "", err
 	}
 	defer hres.Body.Close()
-	body, err = io.ReadAll(io.LimitReader(hres.Body, maxBodyBytes*16))
+	body, err = io.ReadAll(io.LimitReader(hres.Body, maxReplyBytes+1))
 	if err != nil {
 		return nil, 0, "", err
+	}
+	if len(body) > maxReplyBytes {
+		return nil, 0, "", fmt.Errorf("worker %s: %w", n.Name, errReplyTooLarge)
 	}
 	return body, hres.StatusCode, hres.Header.Get(CacheHeader), nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -75,32 +76,38 @@ func (tf *testFleet) simRunsTotal() int64 {
 }
 
 // TestCoordinatorForwardsAndCachesOnWorker: a request through the
-// coordinator executes on exactly one worker; repeating it is a cache
-// hit on that same worker with byte-identical content, and the response
-// names the worker that answered.
+// coordinator executes on exactly one worker — the key's ring owner —
+// and never on the coordinator itself; repeating it is a cache hit on
+// that same worker with byte-identical content.
 func TestCoordinatorForwardsAndCachesOnWorker(t *testing.T) {
-	tf := newTestFleet(t, 3)
-	ctx := context.Background()
-
-	_, info, err := tf.client.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("run via coordinator: %v", err)
-	}
-	if info.Cache != "miss" {
-		t.Fatalf("first forwarded run disposition %q, want miss", info.Cache)
-	}
-	_, info2, err := tf.client.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if info2.Cache != "hit" {
-		t.Fatalf("second forwarded run disposition %q, want hit (same owner)", info2.Cache)
-	}
-	if !bytes.Equal(info.Body, info2.Body) {
-		t.Fatal("forwarded bodies differ between miss and hit")
-	}
-	if got := tf.simRunsTotal(); got != 1 {
-		t.Fatalf("fleet-wide sim.runs = %d, want 1", got)
+	for _, ep := range endpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			tf := newTestFleet(t, 3)
+			info := postOK(t, tf.client, ep.route, ep.small)
+			if info.Cache != "miss" {
+				t.Fatalf("first forwarded run disposition %q, want miss", info.Cache)
+			}
+			info2 := postOK(t, tf.client, ep.route, ep.small)
+			if info2.Cache != "hit" {
+				t.Fatalf("second forwarded run disposition %q, want hit (same owner)", info2.Cache)
+			}
+			if !bytes.Equal(info.Body, info2.Body) {
+				t.Fatal("forwarded bodies differ between miss and hit")
+			}
+			runs := ep.check(t, info.Body)
+			if got := tf.simRunsTotal(); got != runs {
+				t.Fatalf("fleet-wide sim.runs = %d, want %d", got, runs)
+			}
+			owner := tf.fleet.Ring().Owner(ep.key(t, ep.small)).Name
+			for i, w := range tf.workers {
+				if workerName(tf.servers[i].URL) == owner && simRuns(w) != runs {
+					t.Fatalf("ring owner %s ran %d simulations, want %d", owner, simRuns(w), runs)
+				}
+			}
+			if got := tf.reg.Counter("sim.runs").Value(); got != 0 {
+				t.Fatalf("coordinator sim.runs = %d, want 0 (it must forward, not execute)", got)
+			}
+		})
 	}
 }
 
@@ -256,5 +263,44 @@ func TestCoordinatorReadyzReportsMembership(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("workers_healthy")) {
 		t.Fatalf("readyz body missing workers_healthy: %s", body)
+	}
+}
+
+// TestCoordinatorRejectsOversizedReply: a worker reply one byte over the
+// relay limit is a forward failure — 502 with the error envelope, never a
+// truncated 200 — and a job fed by it never lands done.
+func TestCoordinatorRejectsOversizedReply(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), maxReplyBytes+1)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.Write([]byte(`{"status": "ready"}`))
+			return
+		}
+		w.Write(big)
+	}))
+	defer worker.Close()
+	fleet, err := NewFleet(FleetConfig{Peers: []string{worker.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("new fleet: %v", err)
+	}
+	c, _ := clientFor(t, New(Config{Fleet: fleet}))
+
+	info, _ := post(t, c, "/v1/run", `{}`)
+	if info.Status != http.StatusBadGateway {
+		t.Fatalf("oversized reply relayed with status %d (%d bytes), want 502", info.Status, len(info.Body))
+	}
+	errorEnvelope(t, info.Body)
+
+	ctx := context.Background()
+	snap, err := c.SubmitJob(ctx, Request{})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	final, err := c.WaitJob(ctx, snap.ID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if final.State == jobs.StateDone {
+		t.Fatal("job stored an oversized reply as done")
 	}
 }

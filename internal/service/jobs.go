@@ -90,18 +90,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	sp := telemetry.SpanFrom(r.Context())
 
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
-	}
-	canon, err := req.Canonicalize(s.cfg.MaxDuration)
-	if err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
+	canon, ok := decodeCanonical[Request](s, w, r)
+	if !ok {
 		return
 	}
 	key := canon.Key()

@@ -1,18 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"adassure/internal/mutate"
-	"adassure/internal/runner"
+	"adassure/internal/obs"
 	"adassure/internal/telemetry"
 )
 
@@ -99,16 +92,7 @@ func (r MutateRequest) Canonicalize(maxDuration float64) (MutateRequest, error) 
 // Key returns the content address of a canonicalized campaign request. The
 // encoding is namespaced so a campaign can never collide with a /v1/run
 // scenario in the shared cache.
-func (r MutateRequest) Key() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A canonical MutateRequest holds only finite floats, strings and
-		// ints; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal canonical mutate request: %v", err))
-	}
-	sum := sha256.Sum256(append([]byte("mutate\n"), b...))
-	return hex.EncodeToString(sum[:])
-}
+func (r MutateRequest) Key() string { return contentKey("mutate\n", r) }
 
 // Config converts a canonicalized request into the campaign it executes.
 // Workers is left at the engine default: one admission slot owns the
@@ -124,148 +108,16 @@ func (r MutateRequest) Config() mutate.Config {
 	}
 }
 
-// handleMutate is the mutation-campaign endpoint: decode → canonicalize →
-// cache → single-flight → pool → respond with the kill-matrix report.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	sp := telemetry.SpanFrom(r.Context())
-	start := time.Now()
-	defer func() {
-		s.reqNS.ObserveEx(time.Since(start).Nanoseconds(), sp.TraceID().String())
-	}()
+func (MutateRequest) route() string { return "/v1/mutate" }
 
-	var req MutateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
-	}
-	canon, err := req.Canonicalize(s.cfg.MaxDuration)
-	if err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
-		return
-	}
-	key := canon.Key()
-
-	lookup := sp.StartChild("cache.lookup")
-	if body, ok := s.cache.get(key); ok {
-		lookup.SetAttr("disposition", "hit")
-		lookup.End()
-		w.Header().Set(CacheHeader, "hit")
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-
-	call, leader := s.flight.join(key)
-	disposition := "coalesced"
-	var wait *telemetry.Span
-	if leader {
-		disposition = "miss"
-		call.setOwner(sp)
-		wait = sp.StartChild("queue.wait")
-		if err := s.submitMutate(key, canon, call, sp, wait); err != nil {
-			wait.End()
-			s.flight.forget(key)
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, runner.ErrQueueFull) {
-				status = http.StatusTooManyRequests
-				s.shedded.Inc()
-			}
-			call.finish(errorBody(err.Error()), status, err)
-		}
-	} else {
-		s.coalesced.Inc()
-		wait = sp.StartChild("coalesced.wait")
-		if owner := call.ownerRef(); owner != nil {
-			wait.AddLink(owner.trace, owner.span)
-			wait.SetAttr("executing_trace", owner.trace.String())
-		}
-	}
-	lookup.SetAttr("disposition", disposition)
-	lookup.End()
-
-	select {
-	case <-call.done:
-	case <-r.Context().Done():
-		if !leader {
-			wait.End()
-		}
-		return
-	}
-	if !leader {
-		wait.End()
-	}
-	if call.status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	if call.status == http.StatusOK {
-		w.Header().Set(CacheHeader, disposition)
-	}
-	writeJSON(w, call.status, call.body)
-}
-
-// submitMutate hands the campaign to the pool, mirroring submit.
-func (s *Server) submitMutate(key string, req MutateRequest, call *flightCall, parent, wait *telemetry.Span) error {
-	if s.closed.Load() {
-		return fmt.Errorf("service: shutting down")
-	}
-	return s.pool.TrySubmit(s.baseCtx, func(ctx context.Context) {
-		wait.End()
-		s.executeMutate(ctx, key, req, call, parent)
-	}, func(recovered any) {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody(fmt.Sprint(recovered)), http.StatusInternalServerError, nil)
-	})
-}
-
-// executeMutate runs one campaign under the per-request budget and
-// publishes the report to cache and waiters.
-func (s *Server) executeMutate(ctx context.Context, key string, req MutateRequest, call *flightCall, parent *telemetry.Span) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-	defer cancel()
-
-	ex := parent.StartChild("execute")
-	start := time.Now()
-	cfg := req.Config()
+// run executes the campaign; its body is the kill-matrix report.
+func (r MutateRequest) run(ctx context.Context, reg *obs.Registry, _ *telemetry.Span) (encoder, error) {
+	cfg := r.Config()
 	cfg.Context = ctx
-	cfg.Obs = s.reg // aggregate sim/monitor metrics across all runs
+	cfg.Obs = reg // aggregate sim/monitor metrics across all runs
 	rep, err := mutate.Run(cfg)
-	s.runNS.ObserveEx(time.Since(start).Nanoseconds(), parent.TraceID().String())
 	if err != nil {
-		ex.SetAttr("error", err.Error())
+		return nil, fmt.Errorf("run campaign: %w", err)
 	}
-	ex.End()
-
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-			s.timeouts.Inc()
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		default:
-			s.simErrors.Inc()
-		}
-		s.flight.forget(key)
-		call.finish(errorBody("run campaign: "+err.Error()), status, err)
-		return
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody("encode report: "+err.Error()), http.StatusInternalServerError, err)
-		return
-	}
-	body := buf.Bytes()
-	// Publish to the cache before forgetting the call — same ordering
-	// argument as execute.
-	s.cache.put(key, body)
-	s.flight.forget(key)
-	call.finish(body, http.StatusOK, nil)
+	return reportEncoder(rep), nil
 }

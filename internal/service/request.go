@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,8 +10,12 @@ import (
 	"sort"
 	"sync"
 
-	"adassure"
+	"adassure/internal/attacks"
+	"adassure/internal/core"
 	"adassure/internal/forensics"
+	"adassure/internal/obs"
+	"adassure/internal/scenario"
+	"adassure/internal/telemetry"
 )
 
 // Request is one scenario-execution request. The zero value of every
@@ -73,7 +78,7 @@ var (
 // the simulator always has available).
 func validAssertions() []string {
 	assertionIDsOnce.Do(func() {
-		assertionIDs = adassure.NewCatalogMonitor(adassure.CatalogConfig{
+		assertionIDs = core.NewCatalogMonitor(core.CatalogConfig{
 			IncludeGroundTruth: true,
 		}).AssertionIDs()
 	})
@@ -82,8 +87,8 @@ func validAssertions() []string {
 
 func validAttacks() []string {
 	out := []string{"none"}
-	for _, a := range adassure.AttackNames() {
-		out = append(out, string(a))
+	for _, c := range attacks.StandardClasses() {
+		out = append(out, string(c))
 	}
 	return out
 }
@@ -194,26 +199,32 @@ func (r Request) Canonicalize(maxDuration float64) (Request, error) {
 // Key returns the content address of a canonicalized request: the SHA-256
 // of its canonical JSON encoding. Two requests with the same key ask for
 // byte-identical work.
-func (r Request) Key() string {
-	// Struct field order is fixed and map-free, so encoding/json is a
-	// canonical encoder here.
-	b, err := json.Marshal(r)
+func (r Request) Key() string { return contentKey("", r) }
+
+// contentKey is the content address shared by every keyed request kind:
+// the hex SHA-256 of namespace followed by the canonical JSON encoding.
+// Struct field order is fixed and map-free, so encoding/json is a
+// canonical encoder here; the namespace keeps kinds from colliding in the
+// shared cache, store and ring (run requests use none, which keeps their
+// keys — and every stored run result — stable).
+func contentKey(namespace string, canon any) string {
+	b, err := json.Marshal(canon)
 	if err != nil {
-		// A Request holds only finite floats, strings, bools and ints
-		// after Canonicalize; Marshal cannot fail on it.
+		// Canonical requests hold only finite floats, strings, bools and
+		// ints; Marshal cannot fail on them.
 		panic(fmt.Sprintf("service: marshal canonical request: %v", err))
 	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256(append([]byte(namespace), b...))
 	return hex.EncodeToString(sum[:])
 }
 
-// Scenario converts a canonicalized request into the façade scenario it
+// Scenario converts a canonicalized request into the scenario it
 // executes.
-func (r Request) Scenario() adassure.Scenario {
-	return adassure.Scenario{
-		Track:          adassure.TrackName(r.Track),
-		Controller:     adassure.ControllerName(r.Controller),
-		Attack:         adassure.AttackName(r.Attack),
+func (r Request) Scenario() scenario.Scenario {
+	return scenario.Scenario{
+		Track:          scenario.TrackName(r.Track),
+		Controller:     scenario.ControllerName(r.Controller),
+		Attack:         scenario.AttackName(r.Attack),
 		AttackStart:    r.AttackStart,
 		AttackEnd:      r.AttackEnd,
 		Seed:           r.Seed,
@@ -225,4 +236,28 @@ func (r Request) Scenario() adassure.Scenario {
 		Assertions:     r.Assertions,
 		RecordFrames:   r.Bundles,
 	}
+}
+
+func (Request) route() string { return "/v1/run" }
+
+// run simulates the scenario; its body is the evidence-chain Response.
+func (r Request) run(ctx context.Context, reg *obs.Registry, ex *telemetry.Span) (encoder, error) {
+	scn := r.Scenario()
+	scn.Obs = reg // aggregate sim/monitor metrics across all runs
+	scn.Span = ex // phase spans (sim+monitor, diagnosis) hang off this
+	out, err := scn.RunContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("run scenario: %w", err)
+	}
+	if ex.Enabled() {
+		ex.SetInt("violations", int64(len(out.Violations)))
+		ex.SetInt("steps", int64(out.Sim.Steps))
+	}
+	return func(traceID string) ([]byte, error) {
+		body, err := buildResponse(r, out, traceID)
+		if err != nil {
+			return nil, fmt.Errorf("encode response: %w", err)
+		}
+		return body, nil
+	}, nil
 }

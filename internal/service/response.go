@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"adassure"
 	"adassure/internal/forensics"
+	"adassure/internal/scenario"
 )
 
 // ResponseSchema pins the response wire format.
@@ -79,7 +79,7 @@ type Hypothesis struct {
 // off, which keeps fresh-vs-fresh bodies byte-identical — with tracing on
 // the trace_id field is the one deliberately run-specific part of the
 // body).
-func buildResponse(req Request, out *adassure.ScenarioResult, traceID string) ([]byte, error) {
+func buildResponse(req Request, out *scenario.Result, traceID string) ([]byte, error) {
 	resp := Response{
 		Schema:  ResponseSchema,
 		Request: req,
@@ -139,7 +139,7 @@ func buildResponse(req Request, out *adassure.ScenarioResult, traceID string) ([
 // and fresh responses differ byte-wise and break cache soundness. All
 // remaining sections (trace slice, frames, attack state, hypotheses) are
 // deterministic in the request.
-func buildBundles(req Request, out *adassure.ScenarioResult, traceID string) []forensics.Bundle {
+func buildBundles(req Request, out *scenario.Result, traceID string) []forensics.Bundle {
 	var attack *forensics.AttackInfo
 	if req.Attack != "none" {
 		attack = &forensics.AttackInfo{

@@ -1,17 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
-	"adassure/internal/runner"
+	"adassure/internal/obs"
 	"adassure/internal/search"
 	"adassure/internal/telemetry"
 )
@@ -127,16 +120,7 @@ func (r SearchRequest) Canonicalize(maxDuration float64) (SearchRequest, error) 
 // Key returns the content address of a canonicalized search request. The
 // encoding is namespaced so a search can never collide with a /v1/run
 // scenario or a /v1/mutate campaign in the shared cache.
-func (r SearchRequest) Key() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A canonical SearchRequest holds only finite floats, strings and
-		// ints; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal canonical search request: %v", err))
-	}
-	sum := sha256.Sum256(append([]byte("search\n"), b...))
-	return hex.EncodeToString(sum[:])
-}
+func (r SearchRequest) Key() string { return contentKey("search\n", r) }
 
 // Config converts a canonicalized request into the campaign it executes.
 // Workers is left at the engine default: one admission slot owns the
@@ -155,148 +139,16 @@ func (r SearchRequest) Config() search.Config {
 	}
 }
 
-// handleSearch is the adversarial-search endpoint: decode → canonicalize →
-// cache → single-flight → pool → respond with the evasion-frontier report.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	sp := telemetry.SpanFrom(r.Context())
-	start := time.Now()
-	defer func() {
-		s.reqNS.ObserveEx(time.Since(start).Nanoseconds(), sp.TraceID().String())
-	}()
+func (SearchRequest) route() string { return "/v1/search" }
 
-	var req SearchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
-	}
-	canon, err := req.Canonicalize(s.cfg.MaxDuration)
-	if err != nil {
-		s.badReqs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
-		return
-	}
-	key := canon.Key()
-
-	lookup := sp.StartChild("cache.lookup")
-	if body, ok := s.cache.get(key); ok {
-		lookup.SetAttr("disposition", "hit")
-		lookup.End()
-		w.Header().Set(CacheHeader, "hit")
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-
-	call, leader := s.flight.join(key)
-	disposition := "coalesced"
-	var wait *telemetry.Span
-	if leader {
-		disposition = "miss"
-		call.setOwner(sp)
-		wait = sp.StartChild("queue.wait")
-		if err := s.submitSearch(key, canon, call, sp, wait); err != nil {
-			wait.End()
-			s.flight.forget(key)
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, runner.ErrQueueFull) {
-				status = http.StatusTooManyRequests
-				s.shedded.Inc()
-			}
-			call.finish(errorBody(err.Error()), status, err)
-		}
-	} else {
-		s.coalesced.Inc()
-		wait = sp.StartChild("coalesced.wait")
-		if owner := call.ownerRef(); owner != nil {
-			wait.AddLink(owner.trace, owner.span)
-			wait.SetAttr("executing_trace", owner.trace.String())
-		}
-	}
-	lookup.SetAttr("disposition", disposition)
-	lookup.End()
-
-	select {
-	case <-call.done:
-	case <-r.Context().Done():
-		if !leader {
-			wait.End()
-		}
-		return
-	}
-	if !leader {
-		wait.End()
-	}
-	if call.status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	if call.status == http.StatusOK {
-		w.Header().Set(CacheHeader, disposition)
-	}
-	writeJSON(w, call.status, call.body)
-}
-
-// submitSearch hands the campaign to the pool, mirroring submit.
-func (s *Server) submitSearch(key string, req SearchRequest, call *flightCall, parent, wait *telemetry.Span) error {
-	if s.closed.Load() {
-		return fmt.Errorf("service: shutting down")
-	}
-	return s.pool.TrySubmit(s.baseCtx, func(ctx context.Context) {
-		wait.End()
-		s.executeSearch(ctx, key, req, call, parent)
-	}, func(recovered any) {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody(fmt.Sprint(recovered)), http.StatusInternalServerError, nil)
-	})
-}
-
-// executeSearch runs one campaign under the per-request budget and
-// publishes the report to cache and waiters.
-func (s *Server) executeSearch(ctx context.Context, key string, req SearchRequest, call *flightCall, parent *telemetry.Span) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-	defer cancel()
-
-	ex := parent.StartChild("execute")
-	start := time.Now()
-	cfg := req.Config()
+// run executes the campaign; its body is the evasion-frontier report.
+func (r SearchRequest) run(ctx context.Context, reg *obs.Registry, _ *telemetry.Span) (encoder, error) {
+	cfg := r.Config()
 	cfg.Context = ctx
-	cfg.Obs = s.reg // aggregate sim/monitor metrics across all probe runs
+	cfg.Obs = reg // aggregate sim/monitor metrics across all runs
 	rep, err := search.Run(cfg)
-	s.runNS.ObserveEx(time.Since(start).Nanoseconds(), parent.TraceID().String())
 	if err != nil {
-		ex.SetAttr("error", err.Error())
+		return nil, fmt.Errorf("run search: %w", err)
 	}
-	ex.End()
-
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-			s.timeouts.Inc()
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		default:
-			s.simErrors.Inc()
-		}
-		s.flight.forget(key)
-		call.finish(errorBody("run search: "+err.Error()), status, err)
-		return
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		s.simErrors.Inc()
-		s.flight.forget(key)
-		call.finish(errorBody("encode report: "+err.Error()), http.StatusInternalServerError, err)
-		return
-	}
-	body := buf.Bytes()
-	// Publish to the cache before forgetting the call — same ordering
-	// argument as execute.
-	s.cache.put(key, body)
-	s.flight.forget(key)
-	call.finish(body, http.StatusOK, nil)
+	return reportEncoder(rep), nil
 }

@@ -14,12 +14,14 @@
 // answers 429 with a Retry-After hint instead of blocking or queueing
 // unboundedly.
 //
-// Endpoints:
+// Endpoints (the three keyed ones — run, mutate, search — share one
+// cache → store → single-flight → pool path, or one ring route in
+// coordinator mode):
 //
 //	POST   /v1/run               execute (or serve from cache) one scenario
-//	POST   /v1/stream            online monitoring: NDJSON frames in, NDJSON events out
 //	POST   /v1/mutate            execute (or serve from cache) one mutation campaign
 //	POST   /v1/search            execute (or serve from cache) one adversarial search
+//	POST   /v1/stream            online monitoring: NDJSON frames in, NDJSON events out
 //	POST   /v1/jobs              submit one scenario asynchronously → job id
 //	GET    /v1/jobs/{id}         poll a job's lifecycle state
 //	GET    /v1/jobs/{id}/result  fetch a finished job's bytes (identical to /v1/run)
@@ -35,9 +37,10 @@
 //	GET  /debug/traces/{id} one trace's spans as adassure/spans/v1 JSON
 //	GET  /debug/pprof       net/http/pprof (when Config.EnablePprof)
 //
-// The X-Adassure-Cache response header reports how a /v1/run body was
-// produced: "miss" (fresh simulation), "hit" (served from cache) or
-// "coalesced" (attached to a concurrent identical run).
+// The X-Adassure-Cache response header reports how a keyed body was
+// produced: "miss" (fresh execution), "hit" (served from cache), "store"
+// (read back from the persistent store) or "coalesced" (attached to a
+// concurrent identical run).
 //
 // Every /v1/* request is traced: the handler continues an inbound W3C
 // traceparent (or starts a fresh trace), children cover the cache lookup,
@@ -47,10 +50,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -60,8 +65,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adassure"
 	"adassure/internal/jobs"
+	"adassure/internal/mutate"
 	"adassure/internal/obs"
 	"adassure/internal/runner"
 	"adassure/internal/store"
@@ -109,9 +114,9 @@ type Config struct {
 	// the /v1/jobs endpoints off).
 	Jobs JobsLimits
 	// Fleet, when non-nil, puts the server in coordinator mode: every
-	// keyed request (sync /v1/run and async jobs alike) is forwarded to
-	// its consistent-hash owner on the worker ring instead of executing
-	// locally. The server owns Close-ing it.
+	// keyed request (/v1/run, /v1/mutate, /v1/search and async jobs) is
+	// forwarded to its consistent-hash owner on the worker ring instead
+	// of executing locally. The server owns Close-ing it.
 	Fleet *Fleet
 	// Tracer, when non-nil, records a span tree per request and serves it
 	// under /debug/traces. Nil disables tracing: every span operation is a
@@ -230,10 +235,10 @@ func New(cfg Config) *Server {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.traced("/v1/run", s.handleRun))
+	mux.HandleFunc("POST /v1/run", s.traced("/v1/run", handleKeyed[Request](s)))
 	mux.HandleFunc("POST /v1/stream", s.traced("/v1/stream", s.handleStream))
-	mux.HandleFunc("POST /v1/mutate", s.traced("/v1/mutate", s.handleMutate))
-	mux.HandleFunc("POST /v1/search", s.traced("/v1/search", s.handleSearch))
+	mux.HandleFunc("POST /v1/mutate", s.traced("/v1/mutate", handleKeyed[MutateRequest](s)))
+	mux.HandleFunc("POST /v1/search", s.traced("/v1/search", handleKeyed[SearchRequest](s)))
 	if s.jobs != nil {
 		mux.HandleFunc("POST /v1/jobs", s.traced("/v1/jobs", s.handleJobSubmit))
 		mux.HandleFunc("GET /v1/jobs/{id}", s.traced("/v1/jobs/{id}", s.handleJobGet))
@@ -342,61 +347,107 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// handleRun is the execution endpoint: decode → canonicalize → cache →
-// single-flight → pool → respond.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	sp := telemetry.SpanFrom(r.Context())
-	start := time.Now()
-	defer func() {
-		s.reqNS.ObserveEx(time.Since(start).Nanoseconds(), sp.TraceID().String())
-	}()
+// keyedRequest is one canonical request kind served by the keyed path:
+// Request (/v1/run), MutateRequest (/v1/mutate) and SearchRequest
+// (/v1/search). Each is deterministic in its canonical form, so all three
+// share one cache → store → single-flight → pool core and one ring route.
+type keyedRequest interface {
+	// Key is the content address: the cache, store and ring key.
+	Key() string
+	// route is the endpoint a coordinator forwards the request to.
+	route() string
+	// run executes the request under ctx, aggregating sim/monitor metrics
+	// into reg and hanging phase spans off ex. It returns the body encoder
+	// rather than the body, so service.run_ns times the run alone.
+	run(ctx context.Context, reg *obs.Registry, ex *telemetry.Span) (encoder, error)
+}
 
-	var req Request
+// encoder renders a finished run's response body; traceID names the
+// executing run's trace.
+type encoder func(traceID string) ([]byte, error)
+
+// reportEncoder encodes a campaign report (mutation or search) as its
+// JSON document.
+func reportEncoder(rep interface{ WriteJSON(io.Writer) error }) encoder {
+	return func(string) ([]byte, error) {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			return nil, fmt.Errorf("encode report: %w", err)
+		}
+		return buf.Bytes(), nil
+	}
+}
+
+// decodable is a request document type whose canonical form is keyed.
+type decodable[R keyedRequest] interface {
+	keyedRequest
+	Canonicalize(maxDuration float64) (R, error)
+}
+
+// decodeCanonical decodes one request document and canonicalizes it,
+// answering 400 with the error envelope itself when either step fails.
+func decodeCanonical[R decodable[R]](s *Server, w http.ResponseWriter, r *http.Request) (R, bool) {
+	var req R
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.badReqs.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody("decode request: "+err.Error()))
-		return
+		return req, false
 	}
 	canon, err := req.Canonicalize(s.cfg.MaxDuration)
 	if err != nil {
 		s.badReqs.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody("invalid request: "+err.Error()))
-		return
+		return canon, false
 	}
-	key := canon.Key()
-
-	body, status, disposition, worker, err := s.runKeyed(r.Context(), sp, canon, key)
-	if err != nil {
-		// The client went away; the run (if any) continues and will fill
-		// the cache for the next asker.
-		return
-	}
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	if status == http.StatusOK && disposition != "" {
-		w.Header().Set(CacheHeader, disposition)
-	}
-	if worker != "" {
-		w.Header().Set(WorkerHeader, worker)
-	}
-	writeJSON(w, status, body)
+	return canon, true
 }
 
-// runKeyed is the execution core shared by the synchronous /v1/run
-// handler and the async job tier: serve from the in-memory cache, fall
-// through to the persistent store, else coalesce on the single-flight
-// group and execute on the pool. In coordinator mode the whole path is
-// replaced by forwarding over the worker ring (no coordinator-side
-// cache: the key's owner holds the warm copy, and caching here would
-// defeat the routing). It blocks until a body is available or ctx is
+// handleKeyed is the handler of every keyed endpoint: decode →
+// canonicalize → runKeyed → respond.
+func handleKeyed[R decodable[R]](s *Server) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.requests.Inc()
+		sp := telemetry.SpanFrom(r.Context())
+		start := time.Now()
+		defer func() {
+			s.reqNS.ObserveEx(time.Since(start).Nanoseconds(), sp.TraceID().String())
+		}()
+
+		canon, ok := decodeCanonical[R](s, w, r)
+		if !ok {
+			return
+		}
+		body, status, disposition, worker, err := s.runKeyed(r.Context(), sp, canon, canon.Key())
+		if err != nil {
+			// The client went away; the run (if any) continues and will
+			// fill the cache for the next asker.
+			return
+		}
+		if status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		}
+		if status == http.StatusOK && disposition != "" {
+			w.Header().Set(CacheHeader, disposition)
+		}
+		if worker != "" {
+			w.Header().Set(WorkerHeader, worker)
+		}
+		writeJSON(w, status, body)
+	}
+}
+
+// runKeyed is the execution core shared by the three keyed endpoints and
+// the async job tier: serve from the in-memory cache, fall through to the
+// persistent store, else coalesce on the single-flight group and execute
+// on the pool. In coordinator mode the whole path is replaced by
+// forwarding over the worker ring (no coordinator-side cache: the key's
+// owner holds the warm copy, and caching here would defeat the routing). It blocks until a body is available or ctx is
 // done (the only case that returns a non-nil error — the run, if one
 // started, continues and fills the cache for the next asker). worker is
 // non-empty only in coordinator mode.
-func (s *Server) runKeyed(ctx context.Context, sp *telemetry.Span, canon Request, key string) (body []byte, status int, disposition, worker string, err error) {
+func (s *Server) runKeyed(ctx context.Context, sp *telemetry.Span, canon keyedRequest, key string) (body []byte, status int, disposition, worker string, err error) {
 	if s.fleet != nil {
 		return s.fleet.forward(ctx, sp, canon, key)
 	}
@@ -487,7 +538,7 @@ func (s *Server) storeGet(key string) ([]byte, bool) {
 // submit hands the run to the pool. On success the pool job owns the
 // call: it caches, forgets and finishes (and closes the queue-wait span
 // on pickup). On error the caller keeps ownership of both.
-func (s *Server) submit(key string, req Request, call *flightCall, parent, wait *telemetry.Span) error {
+func (s *Server) submit(key string, req keyedRequest, call *flightCall, parent, wait *telemetry.Span) error {
 	if s.closed.Load() {
 		return fmt.Errorf("service: shutting down")
 	}
@@ -502,20 +553,17 @@ func (s *Server) submit(key string, req Request, call *flightCall, parent, wait 
 	})
 }
 
-// execute runs one simulation under the per-request budget and publishes
-// the outcome to cache and waiters. parent is the submitting request's
-// root span; starting a child from a worker goroutine is safe because a
-// span's identity fields are immutable after creation.
-func (s *Server) execute(ctx context.Context, key string, req Request, call *flightCall, parent *telemetry.Span) {
+// execute runs one request under the per-request budget and publishes
+// the outcome to cache, store and waiters. parent is the submitting
+// request's root span; starting a child from a worker goroutine is safe
+// because a span's identity fields are immutable after creation.
+func (s *Server) execute(ctx context.Context, key string, req keyedRequest, call *flightCall, parent *telemetry.Span) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
 	defer cancel()
 
 	ex := parent.StartChild("execute")
 	start := time.Now()
-	scn := req.Scenario()
-	scn.Obs = s.reg // aggregate sim/monitor metrics across all runs
-	scn.Span = ex   // phase spans (sim+monitor, diagnosis) hang off this
-	out, err := scn.RunContext(ctx)
+	encode, err := req.run(ctx, s.reg, ex)
 	s.runNS.ObserveEx(time.Since(start).Nanoseconds(), parent.TraceID().String())
 
 	if err != nil {
@@ -532,19 +580,15 @@ func (s *Server) execute(ctx context.Context, key string, req Request, call *fli
 			s.simErrors.Inc()
 		}
 		s.flight.forget(key)
-		call.finish(errorBody("run scenario: "+err.Error()), status, err)
+		call.finish(errorBody(err.Error()), status, err)
 		return
 	}
-	if ex.Enabled() {
-		ex.SetInt("violations", int64(len(out.Violations)))
-		ex.SetInt("steps", int64(out.Sim.Steps))
-	}
 	ex.End()
-	body, err := buildResponse(req, out, parent.TraceID().String())
+	body, err := encode(parent.TraceID().String())
 	if err != nil {
 		s.simErrors.Inc()
 		s.flight.forget(key)
-		call.finish(errorBody("encode response: "+err.Error()), http.StatusInternalServerError, err)
+		call.finish(errorBody(err.Error()), http.StatusInternalServerError, err)
 		return
 	}
 	// Order matters: publish to the cache before forgetting the call, so
@@ -739,10 +783,8 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		"controllers": validControllers,
 		"attacks":     validAttacks(),
 		"localizers":  validLocalizers,
-		"assertions": adassure.NewCatalogMonitor(adassure.CatalogConfig{
-			IncludeGroundTruth: true,
-		}).AssertionIDs(),
-		"mutants": adassure.MutantOps(),
+		"assertions":  validAssertions(),
+		"mutants":     mutate.OpNames(),
 	})
 	writeJSON(w, http.StatusOK, b)
 }

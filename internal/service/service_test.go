@@ -88,30 +88,6 @@ func TestEndToEndSpoofThenCacheHit(t *testing.T) {
 	}
 }
 
-// TestCanonicalizationSharesCacheEntry: a request spelled with explicit
-// defaults hits the cache entry of the bare request.
-func TestCanonicalizationSharesCacheEntry(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-	if _, _, err := c.Run(ctx, Request{Duration: 30}); err != nil {
-		t.Fatalf("bare request: %v", err)
-	}
-	_, info, err := c.Run(ctx, Request{
-		Track: "urban-loop", Controller: "pure-pursuit", Attack: "none",
-		Seed: 1, Duration: 30, SpeedLimit: 6, ThresholdScale: 1, Localizer: "ekf",
-		AttackStart: 33, AttackEnd: 44, // decorative without an attack
-	})
-	if err != nil {
-		t.Fatalf("explicit request: %v", err)
-	}
-	if info.Cache != "hit" {
-		t.Fatalf("explicit spelling missed the cache (disposition %q)", info.Cache)
-	}
-	if got := s.Registry().Counter("sim.runs").Value(); got != 1 {
-		t.Fatalf("simulations run = %d, want 1", got)
-	}
-}
-
 // TestDeterministicResponseBytes: with the cache disabled, two fresh
 // simulations of the same request produce byte-identical bodies — the
 // property the cache's correctness rests on.
@@ -134,184 +110,6 @@ func TestDeterministicResponseBytes(t *testing.T) {
 	}
 	if !bytes.Equal(info1.Body, info2.Body) {
 		t.Fatal("two fresh runs of one request produced different bytes")
-	}
-}
-
-// TestSingleflightCoalescing: with the lone worker wedged, K concurrent
-// identical requests collapse onto one queued simulation; every caller
-// receives the same bytes and exactly one simulation runs.
-func TestSingleflightCoalescing(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	ctx := context.Background()
-
-	// Wedge the only worker so the leader's job sits queued while the
-	// followers pile onto the flight call.
-	release := make(chan struct{})
-	if err := s.pool.TrySubmit(ctx, func(context.Context) { <-release }, nil); err != nil {
-		t.Fatalf("wedge: %v", err)
-	}
-
-	const K = 6
-	req := Request{Attack: "gnss-step-spoof", Duration: 20}
-	bodies := make([][]byte, K)
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, info, err := c.Run(ctx, req)
-			errs[i] = err
-			if info != nil {
-				bodies[i] = info.Body
-			}
-		}(i)
-	}
-	// Release once every request has either joined the flight (leader +
-	// K-1 coalesced) — all K are then waiting on one call.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.coalesced.Value() < K-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers coalesced", s.coalesced.Value(), K-1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	for i := 0; i < K; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("request %d received different bytes", i)
-		}
-	}
-	if got := s.Registry().Counter("sim.runs").Value(); got != 1 {
-		t.Fatalf("simulations run = %d, want exactly 1 for %d coalesced requests", got, K)
-	}
-}
-
-// TestQueueFullReturns429: with the worker wedged and the queue full, a
-// distinct request is shed with 429 + Retry-After instead of blocking.
-func TestQueueFullReturns429(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
-	ctx := context.Background()
-
-	running := make(chan struct{})
-	release := make(chan struct{})
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release)
-		}
-	}()
-	if err := s.pool.TrySubmit(ctx, func(context.Context) { close(running); <-release }, nil); err != nil {
-		t.Fatalf("wedge: %v", err)
-	}
-	// Wait until the worker has dequeued the wedge: the queue slot the
-	// poll below observes must belong to the real request, not the wedge —
-	// otherwise the "distinct" request below could be admitted instead of
-	// shed and block on the wedged worker forever.
-	<-running
-	// Fill the single queue slot with a pending real request.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := c.Run(ctx, Request{Duration: 5}); err != nil {
-			t.Errorf("queued request: %v", err)
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.QueueLen() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued request never reached the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// A different scenario cannot coalesce and must be shed.
-	_, info, err := c.Run(ctx, Request{Duration: 5, Seed: 99})
-	var qf *QueueFullError
-	if !isQueueFull(err, &qf) {
-		t.Fatalf("want QueueFullError, got %v (status %d)", err, statusOf(info))
-	}
-	if qf.RetryAfter != 2*time.Second {
-		t.Fatalf("Retry-After = %s, want 2s", qf.RetryAfter)
-	}
-	if info.Status != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", info.Status)
-	}
-	if got := s.Registry().Counter("service.queue_full").Value(); got != 1 {
-		t.Fatalf("queue_full counter = %d, want 1", got)
-	}
-
-	close(release)
-	wg.Wait()
-}
-
-func isQueueFull(err error, out **QueueFullError) bool {
-	qf, ok := err.(*QueueFullError)
-	if ok {
-		*out = qf
-	}
-	return ok
-}
-
-func statusOf(info *CallInfo) int {
-	if info == nil {
-		return 0
-	}
-	return info.Status
-}
-
-// TestPerRequestTimeout: a simulation exceeding the per-request budget is
-// cancelled inside the step loop and answered with 504.
-func TestPerRequestTimeout(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, Timeout: 30 * time.Millisecond})
-	_, info, err := c.Run(context.Background(), Request{Duration: 300})
-	if err == nil {
-		t.Fatal("want timeout error")
-	}
-	if info.Status != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", info.Status)
-	}
-	if got := s.Registry().Counter("service.timeouts").Value(); got != 1 {
-		t.Fatalf("timeouts counter = %d, want 1", got)
-	}
-	// A failed run must not be cached.
-	if s.cache.len() != 0 {
-		t.Fatal("timed-out run was cached")
-	}
-}
-
-// TestBadRequests: malformed documents and invalid parameters are 400s
-// with a JSON error envelope, before any simulation runs.
-func TestBadRequests(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-	cases := []Request{
-		{Attack: "gnss-teleport"},     // unknown attack
-		{Track: "moebius-strip"},      // unknown track
-		{Controller: "yolo"},          // unknown controller
-		{Duration: -3},                // non-positive duration
-		{Duration: 1e9},               // over the server cap
-		{Assertions: []string{"A99"}}, // unknown assertion
-		{Attack: "gnss-step-spoof", AttackStart: 50, AttackEnd: 10}, // inverted window
-	}
-	for _, req := range cases {
-		_, info, err := c.Run(ctx, req)
-		if err == nil {
-			t.Fatalf("request %+v succeeded, want 400", req)
-		}
-		if info.Status != http.StatusBadRequest {
-			t.Fatalf("request %+v: status %d, want 400", req, info.Status)
-		}
-	}
-	if got := s.Registry().Counter("sim.runs").Value(); got != 0 {
-		t.Fatalf("invalid requests triggered %d simulations", got)
 	}
 }
 

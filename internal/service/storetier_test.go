@@ -54,44 +54,35 @@ func clientFor(t *testing.T, s *Server) (*Client, func()) {
 // the "store" disposition, no re-simulation, and promoted back into the
 // LRU so the next request is a plain hit.
 func TestStoreTierServesAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
+	for _, ep := range endpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, c1, stop1 := serverWithStore(t, dir)
+			info1 := postOK(t, c1, ep.route, ep.small)
+			if info1.Cache != "miss" {
+				t.Fatalf("first run disposition %q", info1.Cache)
+			}
+			if got := s1.Registry().Counter("store.puts").Value(); got != 1 {
+				t.Fatalf("store.puts = %d, want 1", got)
+			}
+			stop1() // "restart": the LRU dies with the process, the segments stay
 
-	s1, c1, stop1 := serverWithStore(t, dir)
-	_, info1, err := c1.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	if info1.Cache != "miss" {
-		t.Fatalf("first run disposition %q", info1.Cache)
-	}
-	if got := s1.Registry().Counter("store.puts").Value(); got != 1 {
-		t.Fatalf("store.puts = %d, want 1", got)
-	}
-	stop1() // "restart": the LRU dies with the process, the segments stay
-
-	s2, c2, _ := serverWithStore(t, dir)
-	_, info2, err := c2.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("run after restart: %v", err)
-	}
-	if info2.Cache != "store" {
-		t.Fatalf("post-restart disposition %q, want store", info2.Cache)
-	}
-	if !bytes.Equal(info1.Body, info2.Body) {
-		t.Fatal("store served different bytes than the original run")
-	}
-	if got := s2.Registry().Counter("sim.runs").Value(); got != 0 {
-		t.Fatalf("sim.runs after restart = %d, want 0 (store must not re-simulate)", got)
-	}
-
-	// The store read promoted the entry into the LRU.
-	_, info3, err := c2.Run(ctx, spoofRequest())
-	if err != nil {
-		t.Fatalf("third run: %v", err)
-	}
-	if info3.Cache != "hit" {
-		t.Fatalf("post-promotion disposition %q, want hit", info3.Cache)
+			s2, c2, _ := serverWithStore(t, dir)
+			info2 := postOK(t, c2, ep.route, ep.small)
+			if info2.Cache != "store" {
+				t.Fatalf("post-restart disposition %q, want store", info2.Cache)
+			}
+			if !bytes.Equal(info1.Body, info2.Body) {
+				t.Fatal("store served different bytes than the original run")
+			}
+			if got := simRuns(s2); got != 0 {
+				t.Fatalf("sim.runs after restart = %d, want 0 (store must not re-simulate)", got)
+			}
+			// The store read promoted the entry into the LRU.
+			if info3 := postOK(t, c2, ep.route, ep.small); info3.Cache != "hit" {
+				t.Fatalf("post-promotion disposition %q, want hit", info3.Cache)
+			}
+		})
 	}
 }
 
