@@ -9,9 +9,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench bench-json tables golden golden-update fuzz-smoke stream-smoke fleet-smoke search-smoke
+.PHONY: check vet build test race bench bench-json tables golden golden-update fuzz-smoke stream-smoke fleet-smoke search-smoke cli-smoke
 
-check: vet build race golden stream-smoke fleet-smoke search-smoke fuzz-smoke
+check: vet build race golden stream-smoke fleet-smoke search-smoke cli-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -82,6 +82,30 @@ search-smoke:
 	$(GO) test ./internal/search -count=1
 	$(GO) test ./internal/harness -run 'TestSearchFrontierRetreat' -count=1
 	$(GO) test ./internal/service -run '^($(ENDPOINT_SUITE))$$/^search$$' -count=1
+
+# Command-line observability smoke: short sim, mutate, search and dataset
+# runs with their -metrics/-events outputs (plus -perfetto/-flight on the
+# sim), each file checked by its reader — JSON metrics by python3's
+# json.tool, event logs by adassure-trace events, and the sim's Perfetto
+# file against adassure-trace's own export of the same event log.
+CLI_SMOKE := $(CURDIR)/.cli-smoke
+cli-smoke:
+	rm -rf $(CLI_SMOKE) && mkdir -p $(CLI_SMOKE)
+	$(GO) build -o $(CLI_SMOKE)/ ./cmd/adassure-sim ./cmd/adassure-mutate ./cmd/adassure-search ./cmd/adassure-dataset ./cmd/adassure-trace
+	cd $(CLI_SMOKE) && ./adassure-sim -attack gnss-drift-spoof -duration 40 -flight 200 \
+		-metrics sim-metrics.json -events sim-events.json -perfetto sim-perfetto.json > sim.txt
+	cd $(CLI_SMOKE) && ./adassure-mutate -tracks urban-loop -duration 10 -mutants identity,sense-gnss-dropout=5 \
+		-metrics mutate-metrics.json -events mutate-events.json > mutate.txt
+	cd $(CLI_SMOKE) && ./adassure-search -tracks urban-loop -duration 10 -budget 3 -channels sense-gnss-quantize=0.05:2.5 \
+		-metrics search-metrics.json -events search-events.json > search.txt
+	cd $(CLI_SMOKE) && ./adassure-dataset -seeds 1 -duration 30 \
+		-metrics dataset-metrics.json -events dataset-events.json > dataset.csv
+	cd $(CLI_SMOKE) && for run in sim mutate search dataset; do \
+		python3 -m json.tool $$run-metrics.json > /dev/null && \
+		./adassure-trace events $$run-events.json > $$run-timeline.txt || exit 1; \
+	done
+	cd $(CLI_SMOKE) && ./adassure-trace perfetto sim-events.json | cmp - sim-perfetto.json
+	cd $(CLI_SMOKE) && grep -q 's0/assertion/A13' sim-timeline.txt && grep -q '/s1/scenario' dataset-timeline.txt
 
 # Run each native fuzz target for $(FUZZTIME) on top of its committed seed
 # corpus — a cheap crash/contract smoke, not a deep campaign.

@@ -346,8 +346,7 @@ func RunScenarioBatch(opts BatchOptions, scenarios []Scenario) ([]*ScenarioResul
 				s.Obs = opts.Obs
 			}
 			if s.Events == nil && opts.Events != nil {
-				s.Events = opts.Events
-				s.EventScope = fmt.Sprintf("s%d/", i)
+				s.Events = opts.Events.Scope(fmt.Sprintf("s%d/", i))
 			}
 			// The pool context reaches the simulator, so cancelling the
 			// batch aborts in-flight simulations, not just undispatched

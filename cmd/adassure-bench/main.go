@@ -28,58 +28,26 @@
 // in ui.perfetto.dev; -flight N bounds the recorder to the newest N
 // events; -bundles dir/ writes one forensic bundle per violation episode
 // of every attacked grid cell. None of these change the rendered tables.
+// Any output path "-" writes to stdout.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"time"
 
 	"adassure"
+	"adassure/cmd/internal/cliobs"
 )
 
-// startObs builds the registry for -metrics/-pprof, starting the pprof
-// server when addr is non-empty. Returns nil when both flags are off.
-func startObs(metricsPath, pprofAddr string) *adassure.Registry {
-	if metricsPath == "" && pprofAddr == "" {
-		return nil
-	}
-	reg := adassure.NewRegistry()
-	if pprofAddr != "" {
-		expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "adassure-bench: pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", pprofAddr)
-	}
-	return reg
-}
-
-// writeMetrics dumps the registry snapshot to path.
-func writeMetrics(reg *adassure.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = reg.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
+// check exits with the error, prefixed by the command name.
+func check(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-bench: write metrics:", err)
+		fmt.Fprintln(os.Stderr, "adassure-bench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("metrics written to %s\n", path)
 }
 
 func main() {
@@ -98,11 +66,8 @@ func main() {
 	)
 	flag.Parse()
 
-	reg := startObs(*metricsOut, *pprofAddr)
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" || *perfOut != "" {
-		rec = adassure.NewEventRecorder(*flightCap)
-	}
+	reg := cliobs.Registry("adassure-bench", *metricsOut, *pprofAddr, os.Stderr)
+	rec := cliobs.Recorder(*flightCap, *eventsOut, *perfOut)
 	opts := adassure.ExperimentOptions{
 		Seeds: *seeds, Quick: *quick, Controller: *controller, Workers: *workers,
 		Obs: reg, Events: rec, BundleDir: *bundleDir,
@@ -115,10 +80,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "adassure-bench: %s: %v\n", eid, err)
 			os.Exit(1)
 		}
-		if err := tb.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-bench:", err)
-			os.Exit(1)
-		}
+		check(tb.Render(os.Stdout))
 		fmt.Printf("(%s regenerated in %.1fs)\n\n", eid, time.Since(start).Seconds())
 	}
 
@@ -129,35 +91,7 @@ func main() {
 			run(e.ID)
 		}
 	}
-	writeMetrics(reg, *metricsOut)
-	writeEventOutputs(rec, *eventsOut, *perfOut)
-}
-
-// writeEventOutputs persists the recorded timeline: raw event JSON to
-// eventsPath and/or a Perfetto-loadable Chrome trace to perfettoPath.
-func writeEventOutputs(rec *adassure.EventRecorder, eventsPath, perfettoPath string) {
-	if rec == nil {
-		return
-	}
-	write := func(path, what string, fn func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adassure-bench: write %s: %v\n", what, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s written to %s\n", what, path)
-	}
-	write(eventsPath, "events", rec.WriteJSON)
-	write(perfettoPath, "perfetto trace", func(f io.Writer) error {
-		return adassure.WritePerfetto(f, rec.Events())
-	})
+	files := cliobs.Files{Stdout: os.Stdout, Confirm: os.Stdout}
+	check(files.Write(*metricsOut, "metrics", reg.WriteJSON))
+	check(files.Events(rec, *eventsOut, *perfOut))
 }

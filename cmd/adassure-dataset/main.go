@@ -17,27 +17,24 @@
 // whole campaign (sim step histogram, per-assertion monitoring cost,
 // runner job stats), -pprof addr serves net/http/pprof plus the live
 // snapshot under expvar while the campaign runs, -events out.json records
-// the structured event timeline across all runs, -perfetto out.json
-// exports that timeline as Chrome trace-event JSON (one lane per pool
-// worker; open in ui.perfetto.dev) and -flight N bounds the recorder to
-// the newest N events.
+// the structured event timeline across all runs (tracks scoped
+// "<class>/s<seed>/", plus one lane per pool worker), -perfetto out.json
+// exports that timeline as Chrome trace-event JSON (open in
+// ui.perfetto.dev) and -flight N bounds the recorder to the newest N
+// events. Any output path "-" writes to stdout.
 package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 
+	"adassure/cmd/internal/cliobs"
 	"adassure/internal/attacks"
 	"adassure/internal/core"
 	"adassure/internal/coverage"
-	"adassure/internal/events"
-	"adassure/internal/obs"
 	"adassure/internal/runner"
 	"adassure/internal/sim"
 	"adassure/internal/track"
@@ -78,23 +75,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metricsPath != "" || *pprofAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *pprofAddr != "" {
-		expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(stderr, "adassure-dataset: pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", *pprofAddr)
-	}
-	var rec *events.Recorder
-	if *eventsPath != "" || *perfPath != "" {
-		rec = events.NewRecorder(*flightCap)
-	}
+	reg := cliobs.Registry("adassure-dataset", *metricsPath, *pprofAddr, stderr)
+	rec := cliobs.Recorder(*flightCap, *eventsPath, *perfPath)
 
 	tr, err := track.UrbanLoop(6)
 	if err != nil {
@@ -120,6 +102,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if _, err := sim.Run(sim.Config{
 			Track: tr, Controller: *controller, Seed: job.seed, Duration: *duration,
 			Campaign: camp, Monitor: mon, DisableTrace: true, Obs: reg,
+			Events: rec.Scope(fmt.Sprintf("%s/s%d/", job.class, job.seed)),
 		}); err != nil {
 			return coverage.Run{}, err
 		}
@@ -142,40 +125,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err := coverage.WriteDatasetCSV(stdout, runs, ids); err != nil {
 		return err
 	}
-	if reg != nil && *metricsPath != "" {
-		if err := writeFile(*metricsPath, reg.WriteJSON); err != nil {
-			return fmt.Errorf("write metrics: %w", err)
-		}
-		fmt.Fprintf(stderr, "metrics written to %s\n", *metricsPath)
-	}
-	if rec != nil {
-		if *eventsPath != "" {
-			if err := writeFile(*eventsPath, rec.WriteJSON); err != nil {
-				return fmt.Errorf("write events: %w", err)
-			}
-			fmt.Fprintf(stderr, "events written to %s\n", *eventsPath)
-		}
-		if *perfPath != "" {
-			if err := writeFile(*perfPath, func(w io.Writer) error {
-				return events.WritePerfetto(w, rec.Events())
-			}); err != nil {
-				return fmt.Errorf("write perfetto trace: %w", err)
-			}
-			fmt.Fprintf(stderr, "perfetto trace written to %s\n", *perfPath)
-		}
-	}
-	return nil
-}
-
-// writeFile creates path and streams fn into it.
-func writeFile(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
+	files := cliobs.Files{Stdout: stdout, Confirm: stderr}
+	if err := files.Write(*metricsPath, "metrics", reg.WriteJSON); err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return files.Events(rec, *eventsPath, *perfPath)
 }

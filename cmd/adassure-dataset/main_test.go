@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adassure"
 )
 
 // TestDatasetDeterministicAcrossWorkers: the CSV on stdout — and the
@@ -39,14 +41,15 @@ func TestDatasetDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDatasetObservabilityOutputs: -metrics and -events write parseable,
-// non-empty artifacts.
+// non-empty artifacts, and the timeline carries every run's scenario span
+// and violation episodes, not only the runner's job lanes.
 func TestDatasetObservabilityOutputs(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
 	events := filepath.Join(dir, "events.json")
 	var out, errb bytes.Buffer
 	argv := []string{
-		"-seeds", "1", "-duration", "5", "-workers", "2",
+		"-seeds", "1", "-duration", "30", "-workers", "2",
 		"-metrics", metrics, "-events", events,
 	}
 	if err := run(argv, &out, &errb); err != nil {
@@ -63,6 +66,28 @@ func TestDatasetObservabilityOutputs(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "metrics written to") {
 		t.Fatalf("stderr missing metrics confirmation:\n%s", errb.String())
+	}
+
+	f, err := os.Open(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg, err := adassure.ReadEventLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats := map[string]int{}
+	for _, e := range lg.Events {
+		cats[string(e.Cat)]++
+		if e.Cat == "scenario" && !strings.HasSuffix(e.Track, "/s1/scenario") {
+			t.Fatalf("scenario event on track %q, want <class>/s1/scenario", e.Track)
+		}
+	}
+	for _, c := range []string{"runner", "scenario", "violation"} {
+		if cats[c] == 0 {
+			t.Errorf("event log has no %q events (categories: %v)", c, cats)
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"adassure"
+	"adassure/cmd/internal/cliobs"
 	"adassure/internal/obs"
 	"adassure/internal/service"
 )
@@ -83,6 +84,9 @@ func run(argv []string, stdout, stderr *os.File) error {
 	}
 
 	reg := obs.NewRegistry()
+	writeMetrics := func() error {
+		return cliobs.Files{Stdout: stdout, Confirm: stdout}.Write(*metricsPath, "metrics", reg.WriteJSON)
+	}
 	if *streamMode {
 		if err := runStream(ctx, client, reg, stdout, stderr, streamArgs{
 			track: *track, controller: *controller, attack: *attack,
@@ -91,7 +95,7 @@ func run(argv []string, stdout, stderr *os.File) error {
 		}); err != nil {
 			return err
 		}
-		return writeMetricsIfAsked(reg, *metricsPath, stdout)
+		return writeMetrics()
 	}
 	base := service.Request{
 		Track:      *track,
@@ -116,7 +120,7 @@ func run(argv []string, stdout, stderr *os.File) error {
 		return err
 	}
 	report.Print(stdout)
-	return writeMetricsIfAsked(reg, *metricsPath, stdout)
+	return writeMetrics()
 }
 
 type streamArgs struct {
@@ -160,24 +164,5 @@ func runStream(ctx context.Context, client *service.Client, reg *obs.Registry, s
 		return err
 	}
 	report.Print(stdout)
-	return nil
-}
-
-func writeMetricsIfAsked(reg *obs.Registry, path string, stdout *os.File) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write metrics: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "metrics written to %s\n", path)
 	return nil
 }

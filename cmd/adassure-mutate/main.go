@@ -21,7 +21,7 @@
 // Observability: -metrics out.json writes a JSON runtime-metrics snapshot
 // aggregated across every run of the campaign, and -events out.json
 // records the structured event timeline (tracks scoped per grid cell).
-// Neither changes the report.
+// Neither changes the report. Any output path "-" writes to stdout.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"adassure"
+	"adassure/cmd/internal/cliobs"
 )
 
 func fatalf(format string, args ...any) {
@@ -152,14 +153,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var reg *adassure.Registry
-	if *metricsOut != "" {
-		reg = adassure.NewRegistry()
-	}
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" {
-		rec = adassure.NewEventRecorder(0)
-	}
+	reg := cliobs.Registry("adassure-mutate", *metricsOut, "", os.Stderr)
+	rec := cliobs.Recorder(0, *eventsOut)
 
 	start := time.Now()
 	rep, err := adassure.RunMutationCampaign(adassure.MutationConfig{
@@ -176,11 +171,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	if *jsonOut == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatalf("write report: %v", err)
-		}
-	} else {
+	if *jsonOut != "-" {
 		renderMatrix(os.Stdout, rep)
 		if err := rep.WriteSurvivorReport(os.Stdout); err != nil {
 			fatalf("write survivor report: %v", err)
@@ -188,30 +179,14 @@ func main() {
 		fmt.Printf("\n(%d mutants × %d tracks scored in %.1fs)\n",
 			len(rep.Scores), len(rep.Tracks), time.Since(start).Seconds())
 	}
-
-	writeFile := func(path, what string, fn func(io.Writer) error) {
-		if path == "" || path == "-" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fatalf("write %s: %v", what, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
+	files := cliobs.Files{Stdout: os.Stdout, Confirm: os.Stderr}
+	if err := files.Write(*jsonOut, "report", rep.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
-	if *jsonOut != "" && *jsonOut != "-" {
-		writeFile(*jsonOut, "report", rep.WriteJSON)
+	if err := files.Write(*metricsOut, "metrics", reg.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
-	if reg != nil {
-		writeFile(*metricsOut, "metrics", reg.WriteJSON)
-	}
-	if rec != nil {
-		writeFile(*eventsOut, "events", rec.WriteJSON)
+	if err := files.Write(*eventsOut, "events", rec.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
 }

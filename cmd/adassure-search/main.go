@@ -23,12 +23,12 @@
 // Observability: -metrics out.json writes a JSON runtime-metrics snapshot
 // aggregated across every probe run, and -events out.json records the
 // structured event timeline (scoped per probe). Neither changes the report.
+// Any output path "-" writes to stdout.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"adassure"
+	"adassure/cmd/internal/cliobs"
 )
 
 func fatalf(format string, args ...any) {
@@ -122,14 +123,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var reg *adassure.Registry
-	if *metricsOut != "" {
-		reg = adassure.NewRegistry()
-	}
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" {
-		rec = adassure.NewEventRecorder(0)
-	}
+	reg := cliobs.Registry("adassure-search", *metricsOut, "", os.Stderr)
+	rec := cliobs.Recorder(0, *eventsOut)
 
 	start := time.Now()
 	rep, err := adassure.RunSearch(adassure.SearchConfig{
@@ -149,41 +144,21 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	if *jsonOut == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatalf("write report: %v", err)
-		}
-	} else {
+	if *jsonOut != "-" {
 		if err := rep.WriteFrontierReport(os.Stdout); err != nil {
 			fatalf("write frontier report: %v", err)
 		}
 		fmt.Printf("\n(%d frontier points, %d probe runs in %.1fs)\n",
 			len(rep.Frontier), rep.TotalEvals, time.Since(start).Seconds())
 	}
-
-	writeFile := func(path, what string, fn func(io.Writer) error) {
-		if path == "" || path == "-" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fatalf("write %s: %v", what, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
+	files := cliobs.Files{Stdout: os.Stdout, Confirm: os.Stderr}
+	if err := files.Write(*jsonOut, "report", rep.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
-	if *jsonOut != "" && *jsonOut != "-" {
-		writeFile(*jsonOut, "report", rep.WriteJSON)
+	if err := files.Write(*metricsOut, "metrics", reg.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
-	if reg != nil {
-		writeFile(*metricsOut, "metrics", reg.WriteJSON)
-	}
-	if rec != nil {
-		writeFile(*eventsOut, "events", rec.WriteJSON)
+	if err := files.Write(*eventsOut, "events", rec.WriteJSON); err != nil {
+		fatalf("%v", err)
 	}
 }

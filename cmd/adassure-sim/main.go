@@ -25,88 +25,28 @@
 // the recorder to the newest N events; -bundles dir/ writes one forensic
 // bundle per violation episode (trace slice, frames, attack state, eval
 // history, diagnosis) into the directory. Inspect any of these files with
-// adassure-trace events|perfetto|bundle.
+// adassure-trace events|perfetto|bundle. Any output path "-" writes to
+// stdout.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
 
 	"adassure"
+	"adassure/cmd/internal/cliobs"
 )
 
-// startObs builds the registry for -metrics/-pprof, starting the pprof
-// server when addr is non-empty. Returns nil when both flags are off.
-func startObs(metricsPath, pprofAddr string) *adassure.Registry {
-	if metricsPath == "" && pprofAddr == "" {
-		return nil
-	}
-	reg := adassure.NewRegistry()
-	if pprofAddr != "" {
-		expvar.Publish("adassure", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "adassure-sim: pprof server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof+expvar serving on http://%s/debug/pprof (metrics at /debug/vars)\n", pprofAddr)
-	}
-	return reg
-}
-
-// writeMetrics dumps the registry snapshot to path.
-func writeMetrics(reg *adassure.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = reg.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
+// check exits with the error, prefixed by the command name.
+func check(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim: write metrics:", err)
+		fmt.Fprintln(os.Stderr, "adassure-sim:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("metrics written to %s\n", path)
-}
-
-// writeEventOutputs persists the recorded timeline: raw event JSON to
-// eventsPath and/or a Perfetto-loadable Chrome trace to perfettoPath.
-func writeEventOutputs(rec *adassure.EventRecorder, eventsPath, perfettoPath string) {
-	if rec == nil {
-		return
-	}
-	write := func(path, what string, fn func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adassure-sim: write %s: %v\n", what, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s written to %s\n", what, path)
-	}
-	write(eventsPath, "events", rec.WriteJSON)
-	write(perfettoPath, "perfetto trace", func(f io.Writer) error {
-		return adassure.WritePerfetto(f, rec.Events())
-	})
 }
 
 // writeBundles emits one forensic bundle per violation episode of the run
@@ -121,23 +61,12 @@ func writeBundles(out *adassure.ScenarioResult, dir, prefix string) int {
 		return 0
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim: create bundle dir:", err)
-		os.Exit(1)
+		check(fmt.Errorf("create bundle dir: %w", err))
 	}
+	quiet := cliobs.Files{Confirm: io.Discard}
 	for i := range bundles {
 		b := &bundles[i]
-		path := filepath.Join(dir, prefix+b.Filename())
-		f, err := os.Create(path)
-		if err == nil {
-			err = b.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write bundle:", err)
-			os.Exit(1)
-		}
+		check(quiet.Write(filepath.Join(dir, prefix+b.Filename()), "bundle", b.WriteJSON))
 	}
 	return len(bundles)
 }
@@ -181,15 +110,17 @@ func main() {
 		return
 	}
 
-	reg := startObs(*metricsOut, *pprofAddr)
+	reg := cliobs.Registry("adassure-sim", *metricsOut, *pprofAddr, os.Stderr)
 	// Bundles need the frame stream around each violation, and carry the
 	// assertion eval history when a registry is attached — force both on.
 	if *bundleDir != "" && reg == nil {
 		reg = adassure.NewRegistry()
 	}
-	var rec *adassure.EventRecorder
-	if *eventsOut != "" || *perfOut != "" {
-		rec = adassure.NewEventRecorder(*flightCap)
+	rec := cliobs.Recorder(*flightCap, *eventsOut, *perfOut)
+	files := cliobs.Files{Stdout: os.Stdout, Confirm: os.Stdout}
+	writeObs := func() {
+		check(files.Write(*metricsOut, "metrics", reg.WriteJSON))
+		check(files.Events(rec, *eventsOut, *perfOut))
 	}
 	scn := adassure.Scenario{
 		Track:          adassure.TrackName(*trackName),
@@ -211,18 +142,14 @@ func main() {
 			os.Exit(1)
 		}
 		runSweep(scn, *seedCount, *workers, reg, rec, *bundleDir)
-		writeMetrics(reg, *metricsOut)
-		writeEventOutputs(rec, *eventsOut, *perfOut)
+		writeObs()
 		return
 	}
 
 	// Single runs still go through the scenario runner so the snapshot
 	// carries runner job stats alongside the sim/monitor metrics.
 	outs, err := adassure.RunScenarioBatch(adassure.BatchOptions{Workers: 1, Obs: reg, Events: rec}, []adassure.Scenario{scn})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim:", err)
-		os.Exit(1)
-	}
+	check(err)
 	out := outs[0]
 
 	r := out.Sim
@@ -241,69 +168,22 @@ func main() {
 	fmt.Println()
 	fmt.Print(out.Report())
 
-	if *traceCSV != "" && r.Trace != nil {
-		f, err := os.Create(*traceCSV)
-		if err == nil {
-			err = r.Trace.WriteCSV(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceCSV)
+	if r.Trace != nil {
+		check(files.Write(*traceCSV, "trace", r.Trace.WriteCSV))
 	}
-	if *reportMD != "" {
-		f, err := os.Create(*reportMD)
-		if err == nil {
-			err = out.WriteMarkdownReport(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", *reportMD)
+	check(files.Write(*reportMD, "report", out.WriteMarkdownReport))
+	if out.Recording != nil {
+		check(files.Write(*recordOut, "recording", out.Recording.Write))
 	}
-	if *recordOut != "" && out.Recording != nil {
-		f, err := os.Create(*recordOut)
-		if err == nil {
-			err = out.Recording.Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write recording:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("recording written to %s\n", *recordOut)
-	}
-	if *traceJSON != "" && r.Trace != nil {
-		f, err := os.Create(*traceJSON)
-		if err == nil {
-			err = r.Trace.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adassure-sim: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceJSON)
+	if r.Trace != nil {
+		check(files.Write(*traceJSON, "trace", r.Trace.WriteJSON))
 	}
 	if n := writeBundles(out, *bundleDir, ""); n > 0 {
 		fmt.Printf("%d forensic bundle(s) written to %s\n", n, *bundleDir)
 	} else if *bundleDir != "" {
 		fmt.Println("no violations: no forensic bundles written")
 	}
-	writeMetrics(reg, *metricsOut)
-	writeEventOutputs(rec, *eventsOut, *perfOut)
+	writeObs()
 }
 
 // runSweep repeats the scenario for n consecutive seeds across the worker
@@ -316,10 +196,7 @@ func runSweep(scn adassure.Scenario, n, workers int, reg *adassure.Registry, rec
 		scns[i].Seed = scn.Seed + int64(i)
 	}
 	outs, err := adassure.RunScenarioBatch(adassure.BatchOptions{Workers: workers, Obs: reg, Events: rec}, scns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adassure-sim:", err)
-		os.Exit(1)
-	}
+	check(err)
 	if bundleDir != "" {
 		total := 0
 		for i, out := range outs {

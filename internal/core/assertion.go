@@ -165,9 +165,8 @@ type Monitor struct {
 	violCtr    *obs.Counter
 
 	// Event timeline (nil recorder = no recording, the default). Episodes
-	// appear as spans on track "<scope>assertion/<ID>".
-	events  *events.Recorder
-	evScope string
+	// appear as spans on track "assertion/<ID>" under the recorder's scope.
+	events *events.Recorder
 
 	// Episode hooks (nil = none, the default). onOpen fires when a
 	// debounced episode is raised, onClose when its window runs fully
@@ -207,15 +206,13 @@ func (e *monitored) attach(r *obs.Registry) {
 }
 
 // AttachEvents wires the monitor to an event recorder: every violation
-// episode becomes a span on track "<scope>assertion/<ID>" — opened at the
-// debounced raise, closed when the window runs fully clean (or by
-// FinishEvents at end of run). The scope prefix keeps tracks distinct
-// when many scenarios share one recorder. AttachEvents(nil, "") detaches;
-// a detached monitor pays one nil check per episode transition, nothing
-// per frame.
-func (m *Monitor) AttachEvents(rec *events.Recorder, scope string) *Monitor {
+// episode becomes a span on track "assertion/<ID>" (under the recorder's
+// Scope prefix) — opened at the debounced raise, closed when the window
+// runs fully clean (or by FinishEvents at end of run). AttachEvents(nil)
+// detaches; a detached monitor pays one nil check per episode transition,
+// nothing per frame.
+func (m *Monitor) AttachEvents(rec *events.Recorder) *Monitor {
 	m.events = rec
-	m.evScope = scope
 	return m
 }
 
@@ -242,7 +239,7 @@ func (m *Monitor) FinishEvents(t float64) {
 	}
 	for _, e := range m.entries {
 		if e.inEpisode {
-			m.events.End(events.CatViolation, m.evScope+"assertion/"+e.a.ID(),
+			m.events.End(events.CatViolation, "assertion/"+e.a.ID(),
 				e.a.ID()+" "+e.a.Name(), t, map[string]float64{"open": 1})
 		}
 	}
@@ -334,7 +331,7 @@ func (m *Monitor) apply(e *monitored, f Frame, out Outcome) {
 			m.onOpen(m.violations[e.openIdx])
 		}
 		if m.events != nil {
-			m.events.Begin(events.CatViolation, m.evScope+"assertion/"+e.a.ID(),
+			m.events.Begin(events.CatViolation, "assertion/"+e.a.ID(),
 				e.a.ID()+" "+e.a.Name(), f.T, map[string]float64{
 					"first_breach": e.firstBreach,
 					"severity":     float64(e.a.Severity()),
@@ -352,7 +349,7 @@ func (m *Monitor) apply(e *monitored, f Frame, out Outcome) {
 			e.openIdx = -1
 		}
 		if m.events != nil {
-			m.events.End(events.CatViolation, m.evScope+"assertion/"+e.a.ID(),
+			m.events.End(events.CatViolation, "assertion/"+e.a.ID(),
 				e.a.ID()+" "+e.a.Name(), f.T, nil)
 		}
 	case !e.inEpisode && fails == 0:

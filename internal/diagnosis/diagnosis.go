@@ -360,11 +360,11 @@ func (r rule) score(sig Signature) float64 {
 }
 
 // RecordHypotheses emits the top-ranked hypotheses onto an event
-// timeline as instants at time t on track "<scope>diagnosis" — one per
-// hypothesis, carrying its rank and confidence — so the diagnosis sits on
-// the same timeline as the violations it explains. A nil recorder is a
-// no-op.
-func RecordHypotheses(rec *events.Recorder, scope string, t float64, hyps []Hypothesis, topN int) {
+// timeline as instants at time t on track "diagnosis" (under the
+// recorder's Scope prefix) — one per hypothesis, carrying its rank and
+// confidence — so the diagnosis sits on the same timeline as the
+// violations it explains. A nil recorder is a no-op.
+func RecordHypotheses(rec *events.Recorder, t float64, hyps []Hypothesis, topN int) {
 	if rec == nil || len(hyps) == 0 {
 		return
 	}
@@ -372,7 +372,7 @@ func RecordHypotheses(rec *events.Recorder, scope string, t float64, hyps []Hypo
 		topN = len(hyps)
 	}
 	for i, h := range hyps[:topN] {
-		rec.Instant(events.CatDiagnosis, scope+"diagnosis", string(h.Cause), t,
+		rec.Instant(events.CatDiagnosis, "diagnosis", string(h.Cause), t,
 			map[string]float64{"rank": float64(i + 1), "confidence": h.Confidence})
 	}
 }

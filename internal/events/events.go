@@ -96,7 +96,6 @@ const (
 	CatGuard     Category = "guard"     // dead-reckoning fallback intervals (internal/sim)
 	CatDiagnosis Category = "diagnosis" // ranked hypotheses (internal/diagnosis)
 	CatRunner    Category = "runner"    // worker-pool job spans (internal/runner)
-	CatTrace     Category = "trace"     // request-tracing spans (internal/telemetry)
 )
 
 // NoSimTime is the T value of events that exist only on the wall clock
@@ -122,8 +121,8 @@ type Event struct {
 	Cat Category `json:"cat"`
 	// Track groups events into one horizontal line of the timeline, e.g.
 	// "assertion/A13" or "runner/worker-2". Begin/End pairs match per
-	// track. A scope prefix (e.g. "s3/") keeps tracks distinct when many
-	// scenarios share one recorder.
+	// track. A Recorder.Scope prefix (e.g. "s3/") keeps tracks distinct
+	// when many scenarios share one recorder.
 	Track string `json:"track"`
 	// Name labels the span or instant, e.g. "A13 heading-consistency".
 	Name string `json:"name"`
@@ -133,8 +132,15 @@ type Event struct {
 
 // Recorder accumulates events. All methods are nil-safe no-ops on a nil
 // *Recorder, and safe for concurrent use otherwise — the runner's workers
-// and their scenarios share one recorder in batch mode.
+// and their scenarios share one recorder in batch mode, each run through
+// its own Scope view.
 type Recorder struct {
+	*ring
+	scope string // prefix of every track this view emits
+}
+
+// ring is the storage a recorder and all its scoped views share.
+type ring struct {
 	mu      sync.Mutex
 	buf     []Event // ring storage when capacity > 0, else append-only
 	cap     int     // ring capacity; <= 0 means unbounded
@@ -149,16 +155,29 @@ type Recorder struct {
 // `capacity` events (flight-recorder mode, O(1) memory on long runs);
 // capacity <= 0 keeps everything.
 func NewRecorder(capacity int) *Recorder {
-	r := &Recorder{cap: capacity}
+	rg := &ring{cap: capacity}
 	if capacity > 0 {
-		r.buf = make([]Event, capacity)
+		rg.buf = make([]Event, capacity)
 	}
-	return r
+	return &Recorder{ring: rg}
+}
+
+// Scope returns a view of the recorder that prefixes every track it
+// emits with prefix (e.g. "s3/"), so many runs can share one ring without
+// their lanes merging. The view shares the recorder's storage, sequence
+// numbers and dropped count; scopes nest by concatenation. On a nil
+// recorder it returns nil without allocating.
+func (r *Recorder) Scope(prefix string) *Recorder {
+	if r == nil {
+		return nil
+	}
+	return &Recorder{ring: r.ring, scope: r.scope + prefix}
 }
 
 // WithoutWallClock disables wall-clock stamping, making the recorded
-// stream fully deterministic (used by golden tests). Returns the recorder
-// for chaining.
+// stream fully deterministic (used by golden tests). It applies to the
+// whole ring, every scoped view included. Returns the recorder for
+// chaining.
 func (r *Recorder) WithoutWallClock() *Recorder {
 	if r != nil {
 		r.noWall = true
@@ -182,6 +201,9 @@ func (r *Recorder) Emit(e Event) {
 	}
 	if !finite(e.T) {
 		e.T = NoSimTime
+	}
+	if r.scope != "" {
+		e.Track = r.scope + e.Track
 	}
 	r.mu.Lock()
 	e.Seq = r.seq
@@ -263,10 +285,7 @@ func (r *Recorder) Len() int {
 
 // Capacity returns the ring capacity (0 = unbounded).
 func (r *Recorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	if r.cap <= 0 {
+	if r == nil || r.cap <= 0 {
 		return 0
 	}
 	return r.cap

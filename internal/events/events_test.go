@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"adassure/internal/events"
@@ -105,9 +106,97 @@ func TestNilRecorderZeroAlloc(t *testing.T) {
 		_ = r.Events()
 		_ = r.Len()
 		_ = r.Dropped()
+		sc := r.Scope("x/")
+		sc.Begin(events.CatViolation, "assertion/A1", "n", 4, nil)
+		sc.Scope("y/").Instant(events.CatDiagnosis, "diagnosis", "n", 5, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocated %v allocs/op, want 0", allocs)
+	}
+}
+
+// --- scoped views -------------------------------------------------------
+
+// TestScopeSharesRing checks that a scoped view is a window onto its
+// parent's ring, not a copy: sequence numbers, retained count, dropped
+// count and capacity are one set across the recorder and all its views.
+func TestScopeSharesRing(t *testing.T) {
+	root := events.NewRecorder(4).WithoutWallClock()
+	a, b := root.Scope("a/"), root.Scope("b/")
+	for i := 0; i < 3; i++ {
+		root.Instant(events.CatScenario, "scenario", "r", float64(i), nil)
+		a.Instant(events.CatScenario, "scenario", "a", float64(i), nil)
+		b.Instant(events.CatScenario, "scenario", "b", float64(i), nil)
+	}
+	for _, r := range []*events.Recorder{root, a, b} {
+		if r.Len() != 4 || r.Dropped() != 5 || r.Capacity() != 4 {
+			t.Fatalf("view: len %d dropped %d cap %d, want 4/5/4", r.Len(), r.Dropped(), r.Capacity())
+		}
+		evs := r.Events()
+		if evs[0].Seq != 5 || evs[3].Seq != 8 {
+			t.Fatalf("view retains seq %d..%d, want 5..8", evs[0].Seq, evs[3].Seq)
+		}
+	}
+	var tracks []string
+	for _, e := range root.Events() {
+		tracks = append(tracks, e.Track)
+	}
+	want := []string{"b/scenario", "scenario", "a/scenario", "b/scenario"}
+	if !reflect.DeepEqual(tracks, want) {
+		t.Fatalf("tracks = %q, want %q", tracks, want)
+	}
+}
+
+// TestScopeNests checks that scopes concatenate, outermost first, and
+// that a view never rewrites its parent's tracks.
+func TestScopeNests(t *testing.T) {
+	root := events.NewRecorder(0).WithoutWallClock()
+	cell := root.Scope("search/")
+	cell.Scope("gnss/").Scope("3/").End(events.CatViolation, "assertion/A13", "A13", 1, nil)
+	cell.Begin(events.CatScenario, "scenario", "s", 0, nil)
+	root.Begin(events.CatRunner, "runner/worker-0", "job", events.NoSimTime, nil)
+	var tracks []string
+	for _, e := range root.Events() {
+		tracks = append(tracks, e.Track)
+	}
+	want := []string{"search/gnss/3/assertion/A13", "search/scenario", "runner/worker-0"}
+	if !reflect.DeepEqual(tracks, want) {
+		t.Fatalf("tracks = %q, want %q", tracks, want)
+	}
+}
+
+// TestScopeConcurrentSiblings emits from many sibling views at once (run
+// it under -race): every event lands once, sequence numbers stay unique
+// and each view's events carry its own prefix.
+func TestScopeConcurrentSiblings(t *testing.T) {
+	root := events.NewRecorder(0).WithoutWallClock()
+	const views, per = 8, 200
+	var wg sync.WaitGroup
+	for v := 0; v < views; v++ {
+		wg.Add(1)
+		go func(sc *events.Recorder) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				sc.Instant(events.CatScenario, "scenario", "e", float64(i), nil)
+			}
+		}(root.Scope(fmt.Sprintf("s%d/", v)))
+	}
+	wg.Wait()
+	evs := root.Events()
+	if len(evs) != views*per {
+		t.Fatalf("%d events, want %d", len(evs), views*per)
+	}
+	perTrack := map[string]int{}
+	for i, e := range evs {
+		if e.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d", i, e.Seq)
+		}
+		perTrack[e.Track]++
+	}
+	for v := 0; v < views; v++ {
+		if n := perTrack[fmt.Sprintf("s%d/scenario", v)]; n != per {
+			t.Fatalf("view s%d/ landed %d events, want %d", v, n, per)
+		}
 	}
 }
 

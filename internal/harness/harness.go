@@ -117,9 +117,9 @@ type Options struct {
 	// Events, when non-nil, records the structured event timeline of every
 	// scenario an experiment fans out (scenario lifecycle, attack windows,
 	// violation episodes, guard intervals) plus the runner's per-worker job
-	// spans. Tracks are scoped "<class>/<controller>/s<seed>/" so the cells
-	// of a grid stay distinct on one shared recorder. Like Obs, attaching a
-	// recorder never changes the rendered tables.
+	// spans. Tracks are scoped "<class>_<controller>_seed<seed>[_guard]/"
+	// so the cells of a grid stay distinct on one shared recorder. Like
+	// Obs, attaching a recorder never changes the rendered tables.
 	Events *events.Recorder
 	// BundleDir, when non-empty, writes one forensic bundle JSON per
 	// violation episode of every campaign cell into the directory (created
@@ -172,8 +172,7 @@ func campaignRun(o Options, tr *track.Track, class attacks.Class, controller str
 		Guard:        guard,
 		DisableTrace: false,
 		Obs:          o.Obs,
-		Events:       o.Events,
-		EventScope:   cellID + "/",
+		Events:       o.Events.Scope(cellID + "/"),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -218,8 +218,7 @@ func Run(cfg Config) (*Report, error) {
 			// layer would reject, and the campaign never reads traces.
 			DisableTrace: true,
 			Obs:          cfg.Obs,
-			Events:       cfg.Events,
-			EventScope:   scope,
+			Events:       cfg.Events.Scope(scope),
 			Context:      ctx,
 		}
 		if j.mutant >= 0 {

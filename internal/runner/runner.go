@@ -81,6 +81,8 @@ type JobError struct {
 	Err error
 	// Panicked marks errors recovered from a panicking job.
 	Panicked bool
+	// skipped marks a job never started because the pool was cancelled.
+	skipped bool
 }
 
 // Error implements error.
@@ -175,7 +177,7 @@ func Run[O any](opts Options, n int, fn func(ctx context.Context, index int) (O,
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					errs[i] = &JobError{Index: i, Err: err}
+					errs[i] = &JobError{Index: i, Err: err, skipped: true}
 					continue
 				}
 				var jobStart time.Time
@@ -217,10 +219,22 @@ func Run[O any](opts Options, n int, fn func(ctx context.Context, index int) (O,
 	}
 	wg.Wait()
 
+	// The lowest-indexed failure wins. A job skipped after cancellation is
+	// a consequence, not a cause (a worker can claim a low index, then
+	// find the pool cancelled by a later job's failure), so it is reported
+	// only when no job failed on its own: the caller cancelled.
+	var skipped *JobError
 	for _, e := range errs {
-		if e != nil {
+		switch {
+		case e == nil:
+		case !e.skipped:
 			return results, e
+		case skipped == nil:
+			skipped = e
 		}
+	}
+	if skipped != nil {
+		return results, skipped
 	}
 	return results, nil
 }

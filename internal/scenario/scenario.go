@@ -120,12 +120,9 @@ type Scenario struct {
 	// fallback intervals, every violation episode and the top diagnosis
 	// hypotheses. Render with WriteEventTimeline, export with
 	// WritePerfetto, persist with EventRecorder.WriteJSON. Nil (the
-	// default) adds no overhead.
+	// default) adds no overhead. Scenarios sharing one recorder pass
+	// distinct Scope views of it; RunScenarioBatch scopes per index.
 	Events *events.Recorder
-	// EventScope prefixes every event track of the run (e.g. "s3/"),
-	// keeping tracks distinct when several scenarios share one recorder;
-	// RunScenarioBatch assigns per-index scopes automatically.
-	EventScope string
 	// Assertions, when non-empty, restricts the monitor to the named
 	// catalog assertion IDs (e.g. "A1", "A3", "A12"); unknown IDs are an
 	// error. Empty (the default) loads the full catalog. Used by the
@@ -301,7 +298,6 @@ func (s Scenario) RunContext(ctx context.Context) (*Result, error) {
 		Localizer:    s.Localizer,
 		Obs:          s.Obs,
 		Events:       s.Events,
-		EventScope:   s.EventScope,
 	}
 	if s.Guarded {
 		cfg.Guard = sim.GuardConfig{Enabled: true, AssertionTrigger: true}
@@ -331,7 +327,7 @@ func (s Scenario) RunContext(ctx context.Context) (*Result, error) {
 		scenario:   s,
 	}
 	if s.Events != nil && len(vs) > 0 {
-		diagnosis.RecordHypotheses(s.Events, s.EventScope, res.SimTime, out.Hypotheses, 3)
+		diagnosis.RecordHypotheses(s.Events, res.SimTime, out.Hypotheses, 3)
 	}
 	if s.RecordFrames {
 		out.Recording = &offline.Recording{

@@ -292,8 +292,7 @@ func (e *engine) probe(ctx context.Context, ti int, scope string, attack *attack
 		// record them (mirrors the mutation campaign).
 		DisableTrace: true,
 		Obs:          e.cfg.Obs,
-		Events:       e.cfg.Events,
-		EventScope:   scope,
+		Events:       e.cfg.Events.Scope(scope),
 		Context:      ctx,
 	}
 	if attack != nil {

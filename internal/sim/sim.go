@@ -163,10 +163,9 @@ type Config struct {
 	// fallback intervals, termination instants and — via
 	// Monitor.AttachEvents — every violation episode. A nil recorder adds
 	// no measurable overhead (single nil checks on the control path).
+	// Concurrent runs sharing one recorder each take a Recorder.Scope view
+	// (e.g. "s3/") so their tracks stay distinct.
 	Events *events.Recorder
-	// EventScope prefixes every event track this run emits (e.g. "s3/"),
-	// keeping tracks distinct when concurrent runs share one recorder.
-	EventScope string
 	// Context, when non-nil, cancels the run early: the step loop checks it
 	// once per control step (20 Hz of simulated time — microseconds of wall
 	// time) and aborts with an error wrapping ctx.Err(). This is how a
@@ -352,10 +351,10 @@ func Run(cfg Config) (*Result, error) {
 	attackWin, hasAttack := cfg.Campaign.ActiveWindow()
 	attackOpen, guardOpen := false, false
 	if ev != nil {
-		ev.Begin(events.CatScenario, cfg.EventScope+"scenario", scenarioName, 0,
+		ev.Begin(events.CatScenario, "scenario", scenarioName, 0,
 			map[string]float64{"seed": float64(cfg.Seed), "duration": cfg.Duration})
 		if cfg.Monitor != nil {
-			cfg.Monitor.AttachEvents(ev, cfg.EventScope)
+			cfg.Monitor.AttachEvents(ev)
 		}
 	}
 
@@ -546,19 +545,19 @@ func Run(cfg Config) (*Result, error) {
 				if active := attackWin.Contains(t); active != attackOpen {
 					attackOpen = active
 					if active {
-						ev.Begin(events.CatAttack, cfg.EventScope+"attack", cfg.Campaign.Name(), t,
+						ev.Begin(events.CatAttack, "attack", cfg.Campaign.Name(), t,
 							map[string]float64{"start": attackWin.Start, "end": attackWin.End})
 					} else {
-						ev.End(events.CatAttack, cfg.EventScope+"attack", cfg.Campaign.Name(), t, nil)
+						ev.End(events.CatAttack, "attack", cfg.Campaign.Name(), t, nil)
 					}
 				}
 			}
 			if guardOpen != inFallback {
 				guardOpen = inFallback
 				if inFallback {
-					ev.Begin(events.CatGuard, cfg.EventScope+"guard", "dead-reckoning fallback", t, nil)
+					ev.Begin(events.CatGuard, "guard", "dead-reckoning fallback", t, nil)
 				} else {
-					ev.End(events.CatGuard, cfg.EventScope+"guard", "dead-reckoning fallback", t, nil)
+					ev.End(events.CatGuard, "guard", "dead-reckoning fallback", t, nil)
 				}
 			}
 		}
@@ -710,23 +709,23 @@ func Run(cfg Config) (*Result, error) {
 	if ev != nil {
 		t := res.SimTime
 		if attackOpen {
-			ev.End(events.CatAttack, cfg.EventScope+"attack", cfg.Campaign.Name(), t,
+			ev.End(events.CatAttack, "attack", cfg.Campaign.Name(), t,
 				map[string]float64{"truncated": 1})
 		}
 		if guardOpen {
-			ev.End(events.CatGuard, cfg.EventScope+"guard", "dead-reckoning fallback", t,
+			ev.End(events.CatGuard, "guard", "dead-reckoning fallback", t,
 				map[string]float64{"truncated": 1})
 		}
 		if cfg.Monitor != nil {
 			cfg.Monitor.FinishEvents(t)
 		}
 		if res.Diverged {
-			ev.Instant(events.CatScenario, cfg.EventScope+"scenario", "diverged", t, nil)
+			ev.Instant(events.CatScenario, "scenario", "diverged", t, nil)
 		}
 		if res.Finished {
-			ev.Instant(events.CatScenario, cfg.EventScope+"scenario", "finished", t, nil)
+			ev.Instant(events.CatScenario, "scenario", "finished", t, nil)
 		}
-		ev.End(events.CatScenario, cfg.EventScope+"scenario", scenarioName, t, map[string]float64{
+		ev.End(events.CatScenario, "scenario", scenarioName, t, map[string]float64{
 			"steps":        float64(res.Steps),
 			"max_true_cte": res.MaxTrueCTE,
 			"violations":   float64(len(res.Violations)),

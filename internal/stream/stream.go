@@ -65,10 +65,9 @@ type Config struct {
 	// Obs wires the session and its monitor to a metrics registry (nil =
 	// uninstrumented).
 	Obs *obs.Registry
-	// Events wires violation episodes to a timeline recorder under the
-	// given scope prefix (nil = no recording).
-	Events     *events.Recorder
-	EventScope string
+	// Events wires violation episodes to a timeline recorder (nil = no
+	// recording).
+	Events *events.Recorder
 }
 
 // Stats is a point-in-time summary of a session. Safe to read while
@@ -135,7 +134,7 @@ func New(cfg Config) (*Session, error) {
 	}
 	mon.Attach(cfg.Obs)
 	if cfg.Events != nil {
-		mon.AttachEvents(cfg.Events, cfg.EventScope)
+		mon.AttachEvents(cfg.Events)
 	}
 	mon.SetEpisodeHooks(s.onOpen, s.onClose)
 	s.framesCtr = cfg.Obs.Counter("stream.frames")

@@ -102,7 +102,7 @@ func ReadTrace(r io.Reader) (TraceExport, error) {
 }
 
 // perfettoEvent mirrors internal/events' Chrome trace-event shape; it is
-// re-declared here so telemetry stays importable without events' exporter.
+// re-declared here so telemetry imports no other package of the repo.
 type perfettoEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"adassure/internal/events"
 )
 
 func TestTraceParentRoundTrip(t *testing.T) {
@@ -206,32 +204,6 @@ func TestStoreEviction(t *testing.T) {
 	exp, _ := tr.Export(root.TraceID())
 	if len(exp.Spans) != 2 || exp.Dropped != 4 {
 		t.Fatalf("spans=%d dropped=%d, want 2/4", len(exp.Spans), exp.Dropped)
-	}
-}
-
-func TestEventsRecorderIsSecondConsumer(t *testing.T) {
-	rec := events.NewRecorder(0).WithoutWallClock()
-	tr := New(Config{Events: rec})
-	sp := tr.StartSpan("http /v1/run", "")
-	c := sp.StartChild("cache.lookup")
-	c.End()
-	sp.End()
-
-	evs := rec.Events()
-	if len(evs) != 4 { // 2 begins + 2 ends
-		t.Fatalf("%d events, want 4", len(evs))
-	}
-	track := "trace/" + sp.TraceID().Short()
-	for _, e := range evs {
-		if e.Cat != events.CatTrace || e.Track != track {
-			t.Fatalf("event %+v not on the trace track %q", e, track)
-		}
-		if e.T != events.NoSimTime {
-			t.Fatalf("span event carries sim time %v", e.T)
-		}
-	}
-	if evs[0].Kind != events.Begin || evs[3].Kind != events.End {
-		t.Fatalf("events not Begin..End ordered: %+v", evs)
 	}
 }
 

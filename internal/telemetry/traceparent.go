@@ -36,15 +36,6 @@ func (id SpanID) String() string {
 	return hex.EncodeToString(id[:])
 }
 
-// Short returns the first 8 hex digits of the trace ID — the compact form
-// used for event-timeline track names ("" for the zero ID).
-func (id TraceID) Short() string {
-	if id.IsZero() {
-		return ""
-	}
-	return hex.EncodeToString(id[:4])
-}
-
 // FlagSampled is the W3C trace-flags bit this tracer always sets: every
 // retained trace is recorded.
 const FlagSampled byte = 0x01
