@@ -29,12 +29,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark snapshot: run the Benchmark* suite and write
-# name / ns_per_op / allocs_per_op per benchmark to BENCH_5.json, so the
-# perf trajectory accumulates as comparable artifacts across changes.
+# name / ns_per_op / allocs_per_op per benchmark to BENCH_$(BENCH).json, so
+# the perf trajectory accumulates as comparable artifacts across changes.
+# BENCH is the snapshot number: `make bench-json BENCH=7`.
 BENCHTIME ?= 1s
+BENCH ?= 6
 bench-json:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime $(BENCHTIME) ./... \
-		| $(GO) run ./internal/tools/benchjson > BENCH_5.json
+		| $(GO) run ./internal/tools/benchjson > BENCH_$(BENCH).json
 
 # Golden-file regression suite: every deterministic experiment rendering,
 # the event-timeline render and the diagnosis report must match their

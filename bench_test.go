@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"adassure/internal/core"
 	"adassure/internal/fusion"
 	"adassure/internal/geom"
+	"adassure/internal/planner"
 	"adassure/internal/sensors"
 	"adassure/internal/sim"
 	"adassure/internal/track"
@@ -185,6 +187,57 @@ func BenchmarkPathProject(b *testing.B) {
 		tr.Path().Project(p)
 	}
 }
+
+// BenchmarkFollowerProject measures the per-tick reference projection on
+// the urban loop: the follower's windowed projection of an estimate
+// advancing 0.25 m per call, then the controllers' lookups through the
+// follower's view, the same point (answered from the follower) and a front
+// axle 2.7 m ahead (projected over the window). BenchmarkPathProject above
+// is the global scan both replace.
+func BenchmarkFollowerProject(b *testing.B) {
+	tr, err := track.UrbanLoop(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := tr.Path()
+	f, err := planner.NewFollower(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view := f.View()
+	L := path.Length()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := math.Mod(float64(i)*0.25, L)
+		q := path.PointAt(d).Add(geom.V(0.2, -0.3))
+		f.Project(q)
+		view.Project(q)
+		view.Project(path.PointAt(d + 2.7))
+	}
+}
+
+// BenchmarkSpeedTargetAt measures the speed plan of one control tick on
+// the urban loop: TargetAt at the projection and half a second ahead,
+// each an 81-sample braking preview.
+func BenchmarkSpeedTargetAt(b *testing.B) {
+	tr, err := track.UrbanLoop(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := planner.NewSpeedProfileForTrack(tr, vehicle.ShuttleParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	L := tr.Path().Length()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := math.Mod(float64(i)*0.25, L)
+		benchSink = math.Min(sp.TargetAt(s), sp.TargetAt(s+3))
+	}
+}
+
+// benchSink keeps benchmark results live.
+var benchSink float64
 
 // BenchmarkSimSecond measures one simulated second of the full closed loop
 // (physics + sensors + fusion + control + monitor) — the end-to-end

@@ -19,6 +19,13 @@ import (
 // Lateral computes a steering command from the localization estimate and
 // the reference path. Implementations keep internal state (integrators,
 // previous errors) and are reset per run.
+//
+// The simulator passes the route follower's view (planner.Follower.View)
+// as the path: projecting the estimate returns the arc and cross-track
+// error the follower computed for this tick, and any other point (the
+// front axle) is projected over the follower's window, so a controller
+// tracks the branch the rest of the tick uses even where the route
+// crosses itself.
 type Lateral interface {
 	// Name identifies the controller in reports.
 	Name() string

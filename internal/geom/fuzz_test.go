@@ -61,3 +61,53 @@ func FuzzSplineProject(f *testing.F) {
 		}
 	})
 }
+
+// FuzzProjectRange is the differential check of the windowed projection
+// and the lattice lookups: over arbitrary splines, query points and
+// windows (wrapped, negative, ≥2L, clamped on open paths, empty, NaN,
+// at least a lap), ProjectRange must equal the full-scan oracle bit for
+// bit, and a curvature cursor swept across the window must equal
+// CurvatureAt and the pre-cursor oracle bit for bit.
+func FuzzProjectRange(f *testing.F) {
+	circle := []float64{0, 0, 10, 0, 10, 10, 0, 10}
+	add := func(closed bool, qx, qy, s0, s1 float64) {
+		f.Add(circle[0], circle[1], circle[2], circle[3], circle[4], circle[5], circle[6], circle[7], qx, qy, s0, s1, closed)
+	}
+	add(true, 5, -1, 3, 12)          // inside
+	add(true, 1, -0.5, 30, 42)       // wrapped across the seam
+	add(true, 1, -0.5, -6, 4)        // negative start
+	add(true, 2, 11, 85, 95)         // beyond 2L
+	add(true, 2, 11, 10, 10)         // empty
+	add(true, 2, 11, 20, 5)          // inverted
+	add(true, 2, 11, math.NaN(), 10) // NaN
+	add(true, 2, 11, 4, 4+80)        // a whole lap and more
+	add(true, 9, 9, 2, 38)           // nearly a lap
+	add(false, 5, 5, -20, 3)         // open, clamped at the start
+	add(false, 5, 5, 25, 90)         // open, clamped at the end
+	add(false, 5, 5, 80, 90)         // open, clamped to nothing
+	f.Fuzz(func(t *testing.T, x1, y1, x2, y2, x3, y3, x4, y4, qx, qy, s0, s1 float64, closed bool) {
+		for _, c := range []float64{x1, y1, x2, y2, x3, y3, x4, y4, qx, qy} {
+			if math.IsNaN(c) || math.Abs(c) > fuzzCoordBound {
+				t.Skip("out-of-scope input")
+			}
+		}
+		ctrl := []Vec2{{X: x1, Y: y1}, {X: x2, Y: y2}, {X: x3, Y: y3}, {X: x4, Y: y4}}
+		sp, err := NewSpline(ctrl, SplineOpts{Closed: closed})
+		if err != nil {
+			return
+		}
+		checkProjectRange(t, sp.lattice, Vec2{X: qx, Y: qy}, s0, s1)
+
+		// Sweep at most a few hundred arcs from s0 toward s1 (or a short
+		// way past s0 when the window is empty, inverted or not finite).
+		step := (s1 - s0) / 200
+		if !(step > 0) || math.IsInf(step, 0) {
+			step = 0.37
+		}
+		arcs := []float64{s1}
+		for k := 0; k <= 200; k++ {
+			arcs = append(arcs, s0+float64(k)*step)
+		}
+		checkCurvatureSweep(t, sp, arcs)
+	})
+}

@@ -95,9 +95,18 @@ func (p *Polyline) Length() float64 { return p.cum[len(p.cum)-1] }
 func (p *Polyline) Closed() bool { return p.closed }
 
 // wrap clamps (open) or wraps (closed) an arc length into [0, Length).
+// On closed paths an arc in [0, 2L) skips math.Mod: below L it is its own
+// remainder, and from L up subtracting L once is exact (Sterbenz), so the
+// result is bit-identical to math.Mod.
 func (p *Polyline) wrap(s float64) float64 {
 	L := p.Length()
 	if p.closed {
+		switch {
+		case s >= 0 && s < L:
+			return s
+		case s >= L && s < 2*L:
+			return s - L
+		}
 		s = math.Mod(s, L)
 		if s < 0 {
 			s += L
@@ -118,11 +127,32 @@ func (p *Polyline) segment(s float64) (idx int, t float64) {
 	if idx >= len(p.cum)-1 {
 		idx = len(p.cum) - 2
 	}
+	return idx, p.segOffset(idx, s)
+}
+
+// segmentFrom is segment for a caller sweeping forward: when s lies past
+// the start of segment hint it walks forward from there instead of
+// binary-searching, landing on the same index. A negative hint, a NaN or
+// an s behind the hint takes the binary search.
+func (p *Polyline) segmentFrom(s float64, hint int) (idx int, t float64) {
+	if hint < 0 || !(p.cum[hint] < s || hint == 0 && s >= 0) {
+		return p.segment(s)
+	}
+	last := len(p.cum) - 2
+	idx = hint
+	for idx < last && p.cum[idx+1] < s {
+		idx++
+	}
+	return idx, p.segOffset(idx, s)
+}
+
+// segOffset is the fraction of segment idx before arc length s.
+func (p *Polyline) segOffset(idx int, s float64) float64 {
 	segLen := p.cum[idx+1] - p.cum[idx]
 	if segLen <= 0 {
-		return idx, 0
+		return 0
 	}
-	return idx, (s - p.cum[idx]) / segLen
+	return (s - p.cum[idx]) / segLen
 }
 
 func (p *Polyline) segStart(i int) Vec2 { return p.pts[i] }
@@ -178,11 +208,22 @@ func (p *Polyline) CurvatureAt(s float64) float64 {
 // simulator are resampled to a bounded number of vertices, so the linear
 // scan is cheap and, unlike local search, robust to self-approaching paths.
 func (p *Polyline) Project(q Vec2) (s, lateral float64) {
-	bestD2 := math.Inf(1)
-	bestS := 0.0
-	bestLat := 0.0
-	nSeg := len(p.cum) - 1
-	for i := 0; i < nSeg; i++ {
+	best := nearest{d2: math.Inf(1)}
+	p.nearestIn(q, 0, len(p.cum)-1, &best)
+	// cum[] is a running sum while the projection recomputes the final
+	// segment length with Sqrt; at t=1 they can disagree by one ULP, so
+	// clamp to keep the documented s ∈ [0, Length] contract exact.
+	return Clamp(best.s, 0, p.Length()), best.lat
+}
+
+// nearest is the running best of a projection scan: squared distance,
+// arc position and signed lateral offset.
+type nearest struct{ d2, s, lat float64 }
+
+// nearestIn folds segments [lo, hi) into best in ascending index order;
+// the first strictly closest segment wins ties.
+func (p *Polyline) nearestIn(q Vec2, lo, hi int, best *nearest) {
+	for i := lo; i < hi; i++ {
 		a, b := p.segStart(i), p.segEnd(i)
 		ab := b.Sub(a)
 		L2 := ab.NormSq()
@@ -192,17 +233,13 @@ func (p *Polyline) Project(q Vec2) (s, lateral float64) {
 		}
 		cp := a.Lerp(b, t)
 		d2 := q.Sub(cp).NormSq()
-		if d2 < bestD2 {
-			bestD2 = d2
-			bestS = p.cum[i] + t*math.Sqrt(L2)
+		if d2 < best.d2 {
+			best.d2 = d2
+			best.s = p.cum[i] + t*math.Sqrt(L2)
 			// Signed offset: positive when q is left of the segment tangent.
-			bestLat = math.Copysign(math.Sqrt(d2), ab.Cross(q.Sub(a)))
+			best.lat = math.Copysign(math.Sqrt(d2), ab.Cross(q.Sub(a)))
 		}
 	}
-	// cum[] is a running sum while the projection recomputes the final
-	// segment length with Sqrt; at t=1 they can disagree by one ULP, so
-	// clamp to keep the documented s ∈ [0, Length] contract exact.
-	return Clamp(bestS, 0, p.Length()), bestLat
 }
 
 // Resample returns a new polyline with vertices spaced ds apart along the

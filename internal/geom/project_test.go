@@ -72,3 +72,184 @@ func TestSplineProjectRangeDelegates(t *testing.T) {
 		t.Errorf("spline windowed projection s=%.1f outside window", s)
 	}
 }
+
+// projectRangeFullScan is the full-scan ProjectRange that the windowed
+// implementation replaced, kept as the differential oracle: it visits
+// every segment, re-wraps the window with math.Mod per segment to decide
+// whether the segment overlaps it, and falls back to a full global scan.
+func projectRangeFullScan(p *Polyline, q Vec2, s0, s1 float64) (s, lateral float64) {
+	nSeg := len(p.cum) - 1
+	scan := func(keep func(lo, hi float64) bool) (d2, s, lat float64) {
+		d2 = math.Inf(1)
+		for i := 0; i < nSeg; i++ {
+			if !keep(p.cum[i], p.cum[i+1]) {
+				continue
+			}
+			a, b := p.segStart(i), p.segEnd(i)
+			ab := b.Sub(a)
+			L2 := ab.NormSq()
+			var t float64
+			if L2 > 0 {
+				t = Clamp(q.Sub(a).Dot(ab)/L2, 0, 1)
+			}
+			cp := a.Lerp(b, t)
+			if d := q.Sub(cp).NormSq(); d < d2 {
+				d2 = d
+				s = p.cum[i] + t*math.Sqrt(L2)
+				lat = math.Copysign(math.Sqrt(d), ab.Cross(q.Sub(a)))
+			}
+		}
+		return d2, s, lat
+	}
+	L := p.Length()
+	global := func() (float64, float64) {
+		_, s, lat := scan(func(float64, float64) bool { return true })
+		return Clamp(s, 0, L), lat
+	}
+	if s1 <= s0 {
+		return global()
+	}
+	if !p.closed {
+		s0 = Clamp(s0, 0, L)
+		s1 = Clamp(s1, 0, L)
+		if s1 <= s0 {
+			return global()
+		}
+	} else if s1-s0 >= L {
+		return global()
+	}
+	d2, s, lat := scan(func(lo, hi float64) bool {
+		if !p.closed {
+			return hi >= s0 && lo <= s1
+		}
+		w0 := math.Mod(s0, L)
+		if w0 < 0 {
+			w0 += L
+		}
+		w1 := w0 + (s1 - s0)
+		if w1 <= L {
+			return hi >= w0 && lo <= w1
+		}
+		return hi >= w0 || lo <= w1-L
+	})
+	if math.IsInf(d2, 1) {
+		return global()
+	}
+	return Clamp(s, 0, L), lat
+}
+
+// curvatureOracle is Spline.CurvatureAt as it was before the lattice
+// lookups learned to skip math.Mod and to walk forward: math.Mod wrap,
+// binary-searched segment, linear interpolation.
+func curvatureOracle(s *Spline, arc float64) float64 {
+	p := s.lattice
+	L := p.Length()
+	w := Clamp(arc, 0, L)
+	if p.closed {
+		w = math.Mod(arc, L)
+		if w < 0 {
+			w += L
+		}
+	}
+	i, t := p.segment(w)
+	j := (i + 1) % len(s.kappa)
+	return s.kappa[i]*(1-t) + s.kappa[j]*t
+}
+
+// sameBits reports whether two results are the same float64 values bit
+// for bit (so -0 ≠ +0 and NaN = NaN).
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkProjectRange fails unless ProjectRange matches the full-scan oracle
+// bit for bit.
+func checkProjectRange(t *testing.T, p *Polyline, q Vec2, s0, s1 float64) {
+	t.Helper()
+	s, lat := p.ProjectRange(q, s0, s1)
+	ws, wlat := projectRangeFullScan(p, q, s0, s1)
+	if !sameBits(s, ws) || !sameBits(lat, wlat) {
+		t.Fatalf("ProjectRange(%v, %g, %g) = (%v, %v), full scan (%v, %v)", q, s0, s1, s, lat, ws, wlat)
+	}
+}
+
+// checkCurvatureSweep fails unless a cursor swept over arcs, the spline's
+// CurvatureAt and the pre-cursor oracle all agree bit for bit.
+func checkCurvatureSweep(t *testing.T, sp *Spline, arcs []float64) {
+	t.Helper()
+	cur := NewCurvatureCursor(sp)
+	for _, arc := range arcs {
+		want := curvatureOracle(sp, arc)
+		if got := sp.CurvatureAt(arc); !sameBits(got, want) {
+			t.Fatalf("CurvatureAt(%g) = %v, oracle %v", arc, got, want)
+		}
+		if got := cur.CurvatureAt(arc); !sameBits(got, want) {
+			t.Fatalf("cursor CurvatureAt(%g) = %v, oracle %v", arc, got, want)
+		}
+		if i, _ := sp.lattice.segment(sp.lattice.wrap(arc)); cur.seg != i {
+			t.Fatalf("cursor at arc %g is on segment %d, binary search says %d", arc, cur.seg, i)
+		}
+	}
+}
+
+// windowCases are the window shapes the differential tests sweep, as
+// (start, width) in units of the path length: inside, straddling the
+// seam, negative, at and beyond 2L, empty, inverted and at least a lap.
+var windowCases = [][2]float64{
+	{0.1, 0.2}, {0.9, 0.2}, {0.95, 0.1}, {-0.05, 0.1}, {-0.6, 0.3}, {-1.3, 0.4},
+	{1.9, 0.2}, {2.0, 0.1}, {2.7, 0.5}, {5.1, 0.05}, {0.3, 0}, {0.3, -0.1},
+	{0.2, 1}, {0.2, 1.5}, {0.99, 0.98}, {0.5, 0.99}, {0, 1e-9}, {1, 1e-9},
+	{0.25, 0.25}, {0.875, 0.375}, // ends on a square's vertices, plain and wrapped
+}
+
+func TestProjectRangeMatchesFullScan(t *testing.T) {
+	square, err := NewClosedPolyline([]Vec2{{0, 0}, {10, 0}, {10, 10}, {0, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := mustPolyline(t, []Vec2{{0, 0}, {20, 0}, {20, 4}, {0, 4}})
+	loop, err := NewSpline(circleControls(20, 24), SplineOpts{Spacing: 0.25, Closed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, p := range []*Polyline{square, open, loop.lattice} {
+		L := p.Length()
+		queries := []Vec2{p.PointAt(0.3 * L).Add(V(0.4, -0.7)), p.PointAt(0.97 * L), V(1e3, -2e3), V(0, 0)}
+		for _, q := range queries {
+			for _, w := range windowCases {
+				s0 := w[0] * L
+				checkProjectRange(t, p, q, s0, s0+w[1]*L)
+			}
+			checkProjectRange(t, p, q, nan, L)
+			checkProjectRange(t, p, q, 0, nan)
+			checkProjectRange(t, p, q, math.Inf(-1), math.Inf(1))
+			checkProjectRange(t, p, q, 2*L, math.Inf(1))
+		}
+	}
+}
+
+func TestCurvatureCursorMatchesCurvatureAt(t *testing.T) {
+	loop, err := NewSpline(circleControls(20, 24), SplineOpts{Spacing: 0.25, Closed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	road, err := NewSpline([]Vec2{{0, 0}, {30, 5}, {60, -5}, {90, 20}}, SplineOpts{Spacing: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []*Spline{loop, road} {
+		L := sp.Length()
+		// A speed-preview sweep across the seam, a band that starts
+		// behind zero, backward jumps, far laps, the lattice vertices
+		// themselves and NaN.
+		var arcs []float64
+		for d := 0.0; d <= 40; d += 0.5 {
+			arcs = append(arcs, L-10+d)
+		}
+		for d := -2.0; d <= 12; d++ {
+			arcs = append(arcs, 1+d)
+		}
+		arcs = append(arcs, 0.5*L, 0.25*L, 2*L, 2*L-1e-9, 3.5*L, -L, -0.0, L, math.NaN(), 0.1*L)
+		arcs = append(arcs, sp.lattice.cum...)
+		checkCurvatureSweep(t, sp, arcs)
+	}
+}

@@ -207,10 +207,46 @@ func (s *Spline) HeadingAt(arc float64) float64 { return s.lattice.HeadingAt(arc
 // CurvatureAt implements Path, interpolating the analytic curvature
 // sampled on the lattice.
 func (s *Spline) CurvatureAt(arc float64) float64 {
-	w := s.lattice.wrap(arc)
-	i, t := s.lattice.segment(w)
+	k, _ := s.curvatureFrom(arc, -1)
+	return k
+}
+
+// curvatureFrom is CurvatureAt with a segmentFrom hint (negative for
+// none). It also returns the lattice segment arc fell in, the hint for a
+// later query further along.
+func (s *Spline) curvatureFrom(arc float64, hint int) (float64, int) {
+	i, t := s.lattice.segmentFrom(s.lattice.wrap(arc), hint)
 	j := (i + 1) % len(s.kappa)
-	return s.kappa[i]*(1-t) + s.kappa[j]*t
+	return s.kappa[i]*(1-t) + s.kappa[j]*t, i
+}
+
+// CurvatureCursor answers a sweep of CurvatureAt queries at increasing
+// arc positions, such as a speed preview or a curvature band ahead of the
+// vehicle. On a Spline each query walks forward from the previous query's
+// lattice segment instead of binary-searching the whole lattice; a query
+// behind the previous one, or on any other Path, is answered the ordinary
+// way. Results are bit-identical to Path.CurvatureAt. A cursor is a small
+// value for one caller's sweep: keep it on the stack, not in a shared Path.
+type CurvatureCursor struct {
+	path Path
+	sp   *Spline // nil when path is not a Spline
+	seg  int     // lattice segment of the previous query; -1 before the first
+}
+
+// NewCurvatureCursor starts a sweep over path.
+func NewCurvatureCursor(path Path) CurvatureCursor {
+	sp, _ := path.(*Spline)
+	return CurvatureCursor{path: path, sp: sp, seg: -1}
+}
+
+// CurvatureAt returns path.CurvatureAt(arc).
+func (c *CurvatureCursor) CurvatureAt(arc float64) float64 {
+	if c.sp == nil {
+		return c.path.CurvatureAt(arc)
+	}
+	var k float64
+	k, c.seg = c.sp.curvatureFrom(arc, c.seg)
+	return k
 }
 
 // Project implements Path.

@@ -68,10 +68,10 @@ func NewSpeedProfileForTrack(tr *track.Track, p vehicle.Params) (*SpeedProfile, 
 const latMargin = 0.85
 
 // curveSpeed returns the curvature- and zone-limited speed at arc
-// position s.
-func (sp *SpeedProfile) curveSpeed(s float64) float64 {
+// position s, reading the curvature through the caller's sweep cursor.
+func (sp *SpeedProfile) curveSpeed(cur *geom.CurvatureCursor, s float64) float64 {
 	limit := sp.limitAt(s)
-	k := math.Abs(sp.path.CurvatureAt(s))
+	k := math.Abs(cur.CurvatureAt(s))
 	if k < 1e-6 {
 		return limit
 	}
@@ -81,10 +81,14 @@ func (sp *SpeedProfile) curveSpeed(s float64) float64 {
 // TargetAt returns the target speed at arc position s, including the
 // braking preview: the speed is lowered so that any upcoming curvature
 // bound within the preview window is reachable under comfort braking.
+// The preview samples advance along the path, so one curvature cursor
+// walks them all; it lives on this call's stack, which keeps TargetAt
+// safe for concurrent use.
 func (sp *SpeedProfile) TargetAt(s float64) float64 {
-	v := sp.curveSpeed(s)
+	cur := geom.NewCurvatureCursor(sp.path)
+	v := sp.curveSpeed(&cur, s)
 	for d := sp.previewStep; d <= sp.preview; d += sp.previewStep {
-		ahead := sp.curveSpeed(s + d)
+		ahead := sp.curveSpeed(&cur, s+d)
 		// v² = v_ahead² + 2·a·d  (braking backward from the constraint)
 		reachable := math.Sqrt(ahead*ahead + 2*sp.maxBrake*d)
 		if reachable < v {
@@ -109,8 +113,10 @@ type Follower struct {
 	// MaxLat is the lateral offset beyond which the follower re-acquires
 	// globally.
 	MaxLat float64
-	lastS  float64
-	init   bool
+	// The last point Project was given and its result.
+	lastQ          geom.Vec2
+	lastS, lastLat float64
+	init           bool
 }
 
 // NewFollower builds a follower with standard window geometry.
@@ -125,20 +131,52 @@ func NewFollower(path geom.Path) (*Follower, error) {
 	return f, nil
 }
 
-// Project returns the continuous arc position and lateral offset of q.
+// Project returns the continuous arc position and lateral offset of q and
+// moves the window to it.
 func (f *Follower) Project(q geom.Vec2) (s, lateral float64) {
+	s, lateral = f.project(q)
+	f.lastQ, f.lastS, f.lastLat, f.init = q, s, lateral, true
+	return s, lateral
+}
+
+// project is Project without moving the window.
+func (f *Follower) project(q geom.Vec2) (s, lateral float64) {
 	if !f.init || f.rp == nil {
-		s, lateral = f.path.Project(q)
-		f.lastS, f.init = s, true
-		return s, lateral
+		return f.path.Project(q)
 	}
 	s, lateral = f.rp.ProjectRange(q, f.lastS-f.Back, f.lastS+f.Ahead)
 	if math.Abs(lateral) > f.MaxLat {
 		// Teleport (attack or recovery): re-acquire globally.
 		s, lateral = f.path.Project(q)
 	}
-	f.lastS = s
 	return s, lateral
+}
+
+// View returns the follower's path as a geom.Path whose Project answers
+// from the follower instead of scanning the whole path: the point the
+// follower last projected gets that same result, any other point (a
+// front axle, a held estimate) is projected over the follower's current
+// window with the same MaxLat global fall-back, and the view never moves
+// the window. Length, PointAt, HeadingAt, CurvatureAt and Closed are the
+// path's own. Handing the view to a controller makes it reason about the
+// reference point the follower, and so the monitor, uses, and spares it a
+// global rescan every tick.
+func (f *Follower) View() geom.Path { return view{f} }
+
+// view is the geom.Path Follower.View returns.
+type view struct{ f *Follower }
+
+func (v view) Length() float64               { return v.f.path.Length() }
+func (v view) PointAt(s float64) geom.Vec2   { return v.f.path.PointAt(s) }
+func (v view) HeadingAt(s float64) float64   { return v.f.path.HeadingAt(s) }
+func (v view) CurvatureAt(s float64) float64 { return v.f.path.CurvatureAt(s) }
+func (v view) Closed() bool                  { return v.f.path.Closed() }
+func (v view) Project(q geom.Vec2) (float64, float64) {
+	f := v.f
+	if f.init && q == f.lastQ {
+		return f.lastS, f.lastLat
+	}
+	return f.project(q)
 }
 
 // Progress tracks how far along a route the vehicle has travelled,

@@ -253,3 +253,103 @@ func TestFollowerReacquiresAfterTeleport(t *testing.T) {
 		t.Error("nil path accepted")
 	}
 }
+
+// sink keeps the allocation tests' results live.
+var sink float64
+
+// TestSpeedTargetAtAllocs pins TargetAt's curvature cursor to the stack:
+// a per-call heap allocation would cost every control tick two.
+func TestSpeedTargetAtAllocs(t *testing.T) {
+	tr, err := track.UrbanLoop(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewSpeedProfileForTrack(tr, vehicle.ShuttleParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := 0.0
+	if a := testing.AllocsPerRun(200, func() {
+		s += 0.7
+		sink = sp.TargetAt(s)
+	}); a != 0 {
+		t.Errorf("TargetAt allocates %.1f times per call, want 0", a)
+	}
+}
+
+// TestFollowerViewProjectAllocs pins the view's Project, both the cached
+// answer for the follower's own point and the windowed projection of any
+// other, to zero allocations.
+func TestFollowerViewProjectAllocs(t *testing.T) {
+	tr, err := track.FigureEight(30, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFollower(tr.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tr.Path().PointAt(20).Add(geom.V(0.3, 0.2))
+	f.Project(q)
+	view := f.View()
+	front := q.Add(geom.V(2, 0.5))
+	if a := testing.AllocsPerRun(200, func() {
+		s1, _ := view.Project(q)
+		s2, _ := view.Project(front)
+		sink = s1 + s2
+	}); a != 0 {
+		t.Errorf("view Project allocates %.1f times per call pair, want 0", a)
+	}
+}
+
+// TestFollowerView: the view answers the follower's own point with the
+// follower's result, projects other points over the follower's window
+// without moving it, and delegates the rest to the path.
+func TestFollowerView(t *testing.T) {
+	tr, err := track.FigureEight(30, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tr.Path()
+	f, err := NewFollower(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := f.View()
+	// Before the follower has projected anything the view is global.
+	q0 := path.PointAt(10).Add(geom.V(0, 0.4))
+	if s, lat := view.Project(q0); s != mustProject(path, q0) || math.Abs(lat) > 1 {
+		t.Fatalf("uninitialised view Project = (%g, %g), want the global projection", s, lat)
+	}
+	// Walk to just before the crossing (at L/2) along the first branch.
+	L := path.Length()
+	var s, lat float64
+	var q geom.Vec2
+	for d := 0.0; d <= L/2-0.5; d += 0.5 {
+		q = path.PointAt(d).Add(geom.V(0.05, 0.05))
+		s, lat = f.Project(q)
+	}
+	if vs, vlat := view.Project(q); vs != s || vlat != lat {
+		t.Fatalf("view Project of the follower's point = (%g, %g), follower (%g, %g)", vs, vlat, s, lat)
+	}
+	ahead := path.PointAt(s + 3)
+	if vs, _ := view.Project(ahead); math.Abs(vs-(s+3)) > 0.01 {
+		t.Errorf("view Project 3 m ahead = %g, want %g", vs, s+3)
+	}
+	if f.lastS != s || f.lastQ != q {
+		t.Errorf("view Project moved the follower's window to %g (was %g)", f.lastS, s)
+	}
+	for _, a := range []float64{0, s, L - 1} {
+		if view.PointAt(a) != path.PointAt(a) || view.HeadingAt(a) != path.HeadingAt(a) || view.CurvatureAt(a) != path.CurvatureAt(a) {
+			t.Errorf("view accessors differ from the path at %g", a)
+		}
+	}
+	if view.Length() != L || view.Closed() != path.Closed() {
+		t.Error("view Length/Closed differ from the path")
+	}
+}
+
+func mustProject(p geom.Path, q geom.Vec2) float64 {
+	s, _ := p.Project(q)
+	return s
+}

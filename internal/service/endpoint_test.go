@@ -204,13 +204,19 @@ func errorEnvelope(t *testing.T, body []byte) string {
 	return env["error"]
 }
 
-// TestContentKeysPinned: the content keys of the canonical zero requests
-// stay those every existing store was written under.
+// TestContentKeysPinned: content keys change exactly when semanticsEpoch
+// is bumped. The keys of the canonical zero requests are pinned together
+// with the epoch they were computed under; a key change without a bump
+// would orphan every stored result, and a bump without new keys here
+// means the epoch is not reaching the key.
 func TestContentKeysPinned(t *testing.T) {
+	if semanticsEpoch != 1 {
+		t.Fatalf("semanticsEpoch = %d: re-pin the keys below for the new epoch", semanticsEpoch)
+	}
 	want := map[string]string{
-		"run":    "7d1eff962e74e4b8845834d51641c18c229cddd3fb51cfb6be76f2f57c6e4dcc",
-		"mutate": "765303fc86bc47ac85e126745b839d8dad35427dcefb93be650c69e714e3d625",
-		"search": "4216d4b9e238ff62ff1d914b52d6fd6c5cf8256f7a69d8309bcf6722314579d4",
+		"run":    "c514fd89146ca47e81a83bdc2b3dd90837bc4f6dd9193596f0571b634f445e98",
+		"mutate": "d83305c473005706857c371ef8c48f4948e630f69dce7c6f602104e6a2a25610",
+		"search": "408603ecbd70792db6067b9ecfe2e12d3c5e944f6bc0995037b2f112e2cddbba",
 	}
 	for _, ep := range endpoints {
 		if got := ep.key(t, `{}`); got != want[ep.name] {

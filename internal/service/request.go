@@ -201,12 +201,21 @@ func (r Request) Canonicalize(maxDuration float64) (Request, error) {
 // byte-identical work.
 func (r Request) Key() string { return contentKey("", r) }
 
+// semanticsEpoch versions every content key. Bump it by hand whenever a
+// change alters what some request's response says (a simulator,
+// controller or catalog change that moves a result), so that a cache or
+// a persistent store written by an older build misses instead of serving
+// the old bytes.
+//
+// Epoch 1: controllers steer against the route follower's windowed
+// reference instead of their own global projection.
+const semanticsEpoch = 1
+
 // contentKey is the content address shared by every keyed request kind:
-// the hex SHA-256 of namespace followed by the canonical JSON encoding.
-// Struct field order is fixed and map-free, so encoding/json is a
-// canonical encoder here; the namespace keeps kinds from colliding in the
-// shared cache, store and ring (run requests use none, which keeps their
-// keys — and every stored run result — stable).
+// the hex SHA-256 of the semantics epoch, the namespace and the canonical
+// JSON encoding. Struct field order is fixed and map-free, so
+// encoding/json is a canonical encoder here; the namespace keeps kinds
+// from colliding in the shared cache, store and ring.
 func contentKey(namespace string, canon any) string {
 	b, err := json.Marshal(canon)
 	if err != nil {
@@ -214,7 +223,7 @@ func contentKey(namespace string, canon any) string {
 		// ints; Marshal cannot fail on them.
 		panic(fmt.Sprintf("service: marshal canonical request: %v", err))
 	}
-	sum := sha256.Sum256(append([]byte(namespace), b...))
+	sum := sha256.Sum256(fmt.Appendf(nil, "epoch %d\n%s%s", semanticsEpoch, namespace, b))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -83,6 +86,54 @@ func TestStoreTierServesAcrossRestart(t *testing.T) {
 				t.Fatalf("post-promotion disposition %q, want hit", info3.Cache)
 			}
 		})
+	}
+}
+
+// TestStoreTierMissesOtherEpoch: a result a store holds under the key an
+// older build computed (here the pre-epoch formula, the SHA-256 of the
+// canonical JSON alone) is never served after the semantics epoch moves:
+// the request misses and re-simulates.
+func TestStoreTierMissesOtherEpoch(t *testing.T) {
+	req := Request{Duration: 10}
+	canon, err := req.Canonicalize(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	oldKey := hex.EncodeToString(sum[:])
+	if oldKey == canon.Key() {
+		t.Fatal("the semantics epoch does not reach the content key")
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	stale := []byte(`{"schema":"stale result from an older build"}`)
+	if err := st.Put(oldKey, stale); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	s, c, _ := serverWithStore(t, dir)
+	_, info, err := c.Run(context.Background(), req)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if info.Cache != "miss" {
+		t.Fatalf("disposition %q, want miss (the stored record is from another epoch)", info.Cache)
+	}
+	if bytes.Equal(info.Body, stale) {
+		t.Fatal("served the other epoch's body")
+	}
+	if got := simRuns(s); got != 1 {
+		t.Fatalf("sim.runs = %d, want 1", got)
 	}
 }
 

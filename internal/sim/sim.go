@@ -276,6 +276,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The controllers steer against the follower's view, so they project
+	// onto the same branch and arc the rest of the tick uses.
+	ref := follower.View()
 
 	var model vehicle.Model
 	if cfg.UseDynamicModel {
@@ -587,7 +590,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// The command interface contract: steering requests saturate at the
 		// actuator limit before they leave the controller node.
-		steer := geom.Clamp(lateral.Steer(est, cfg.Track.Path(), controlDT), -cfg.Vehicle.MaxSteer, cfg.Vehicle.MaxSteer)
+		steer := geom.Clamp(lateral.Steer(est, ref, controlDT), -cfg.Vehicle.MaxSteer, cfg.Vehicle.MaxSteer)
 		accel := speedCtl.Accel(est.Speed, target, controlDT)
 		cmd = vehicle.Command{Steer: steer, Accel: accel}
 		if cfg.Faults != nil && cfg.Faults.Actuator != nil {
@@ -619,8 +622,9 @@ func Run(cfg Config) (*Result, error) {
 		// Curvature band the controller may legitimately be steering for:
 		// slightly behind the projection to one lookahead distance ahead.
 		curvLo, curvHi := kappa, kappa
+		band := geom.NewCurvatureCursor(cfg.Track.Path())
 		for d := -2.0; d <= 12.0; d += 1.0 {
-			k := cfg.Track.Path().CurvatureAt(s + d)
+			k := band.CurvatureAt(s + d)
 			if k < curvLo {
 				curvLo = k
 			}

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench -benchmem` text output on
 // stdin into a machine-readable JSON array on stdout, so benchmark runs
 // can accumulate as comparable artifacts (see the Makefile bench-json
-// target, which writes BENCH_5.json).
+// target: `make bench-json BENCH=N` writes BENCH_N.json).
 //
 // Usage:
 //
