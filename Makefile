@@ -112,7 +112,10 @@ cli-smoke:
 # Run each native fuzz target for $(FUZZTIME) on top of its committed seed
 # corpus — a cheap crash/contract smoke, not a deep campaign.
 fuzz-smoke:
-	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzSplineProject -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzSplineProject$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzProjectRange$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzPolylineProject$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fusion -run '^$$' -fuzz '^FuzzEKFMatchesMatOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mutate -run '^$$' -fuzz FuzzMutantSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamNDJSON -fuzztime $(FUZZTIME)

@@ -145,7 +145,8 @@ func BenchmarkMonitorStepFullCatalog(b *testing.B) {
 	}
 }
 
-// BenchmarkEKFPredictUpdate measures one IMU predict plus one GNSS update.
+// BenchmarkEKFPredictUpdate measures one IMU predict plus one GNSS update;
+// it skips UpdateOdom, which BenchmarkEKFTick includes.
 func BenchmarkEKFPredictUpdate(b *testing.B) {
 	f := fusion.NewEKF(fusion.EKFConfig{}, 0, geom.NewPose(0, 0, 0), 5)
 	t := 0.0
@@ -154,6 +155,30 @@ func BenchmarkEKFPredictUpdate(b *testing.B) {
 		t += 0.01
 		f.PredictIMU(sensors.IMUReading{T: t, YawRate: 0.01, Valid: true})
 		f.UpdateGNSS(sensors.GNSSFix{T: t, Pos: geom.V(5*t, 0), Valid: true})
+	}
+}
+
+// BenchmarkEKFTick measures one 20 Hz control tick's fusion at the default
+// sensor rates: five 100 Hz IMU predicts, the 50 Hz odometry updates
+// falling in the tick (two or three) and, every other tick, a 10 Hz GNSS
+// update.
+func BenchmarkEKFTick(b *testing.B) {
+	f := fusion.NewEKF(fusion.EKFConfig{GateThreshold: fusion.DefaultGate}, 0, geom.NewPose(0, 0, 0), 5)
+	imu := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 5; k++ {
+			imu++
+			t := float64(imu) * 0.01
+			f.PredictIMU(sensors.IMUReading{T: t, YawRate: 0.01, Valid: true})
+			if imu%2 == 0 {
+				f.UpdateOdom(sensors.OdomReading{T: t, Speed: 5, Valid: true})
+			}
+		}
+		if i%2 == 1 {
+			t := float64(imu) * 0.01
+			f.UpdateGNSS(sensors.GNSSFix{T: t, Pos: geom.V(5*t, 0.1), Valid: true})
+		}
 	}
 }
 
@@ -218,7 +243,8 @@ func BenchmarkFollowerProject(b *testing.B) {
 
 // BenchmarkSpeedTargetAt measures the speed plan of one control tick on
 // the urban loop: TargetAt at the projection and half a second ahead,
-// each an 81-sample braking preview.
+// each a braking preview that stops at the braking horizon (about 9 m, 19
+// samples, at the shuttle's 6 m/s).
 func BenchmarkSpeedTargetAt(b *testing.B) {
 	tr, err := track.UrbanLoop(6)
 	if err != nil {

@@ -74,8 +74,8 @@ const DefaultGate = 9.21
 type EKF struct {
 	cfg EKFConfig
 
-	x Mat // 4×1 state
-	p Mat // 4×4 covariance
+	x vec4 // state
+	p mat4 // covariance
 	t float64
 
 	yawRate float64 // latest IMU yaw rate, for the estimate output
@@ -83,89 +83,43 @@ type EKF struct {
 	lastNIS      float64 // latest GNSS normalised innovation squared
 	lastAccepted bool
 	rejectStreak int
-	initialized  bool
-
-	s ekfScratch
 }
 
-// ekfScratch holds every working matrix the filter needs, preallocated once
-// in NewEKF and reused across all predicts/updates: the steady-state filter
-// performs no heap allocation. The observation matrices and measurement
-// noise (h2/r2, h1/r1) are constants of the model and are filled at
-// construction. All arithmetic goes through the bit-exact *Of matrix
-// variants, so the filter output is identical to the allocating formulation
-// it replaced.
-type ekfScratch struct {
-	F, Q, FT         Mat // 4×4 motion Jacobian, process noise, Fᵀ
-	t44a, t44b, t44c Mat // 4×4 temporaries
-	dx               Mat // 4×1 state correction
+// The filter's arithmetic runs on fixed-size arrays, which keeps it free
+// of heap allocation and bounds checks. Every product is Mat.Mul's sum
+// (ascending k from +0, skipping a zero left entry), every sum and
+// difference sweeps all elements, the covariance is re-symmetrised with
+// Mat.Symmetrize's formula and the innovation covariances are inverted
+// with Mat.Inv's Gauss-Jordan pivoting, so each result is the Mat
+// formulation's bit for bit. Structural zeros are dropped only from a
+// product's left operand (the observation matrices H, the motion
+// Jacobian F), where Mul's zero test skips them anyway; a zero on the
+// right still multiplies, since 0·±Inf is NaN.
+type (
+	mat4 = [4][4]float64
+	vec4 = [4]float64
+)
 
-	// GNSS (2-DOF position) update.
-	h2, t24    Mat // 2×4
-	h2T, pht42 Mat // 4×2
-	r2, s2     Mat // 2×2
-	s2inv      Mat // 2×2
-	aug2       Mat // 2×4 Gauss-Jordan workspace
-	y2         Mat // 2×1 innovation
-	y2T, t12   Mat // 1×2
-	nis1       Mat // 1×1
-	k42        Mat // 4×2 Kalman gain
+// identity4 is the 4×4 identity.
+var identity4 = mat4{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
 
-	// Odometry (1-DOF speed) update.
-	h1, t14    Mat // 1×4
-	h1T, pht41 Mat // 4×1
-	r1, s1     Mat // 1×1
-	s1inv      Mat // 1×1
-	aug1       Mat // 1×2 Gauss-Jordan workspace
-	y1         Mat // 1×1 innovation
-	k41        Mat // 4×1 Kalman gain
-}
-
-func newEKFScratch(cfg EKFConfig) ekfScratch {
-	s := ekfScratch{
-		F: NewMat(4, 4), Q: NewMat(4, 4), FT: NewMat(4, 4),
-		t44a: NewMat(4, 4), t44b: NewMat(4, 4), t44c: NewMat(4, 4),
-		dx: NewMat(4, 1),
-		h2: NewMat(2, 4), t24: NewMat(2, 4),
-		h2T: NewMat(4, 2), pht42: NewMat(4, 2),
-		r2: NewMat(2, 2), s2: NewMat(2, 2), s2inv: NewMat(2, 2),
-		aug2: NewMat(2, 4),
-		y2:   NewMat(2, 1), y2T: NewMat(1, 2), t12: NewMat(1, 2),
-		nis1: NewMat(1, 1), k42: NewMat(4, 2),
-		h1: NewMat(1, 4), t14: NewMat(1, 4),
-		h1T: NewMat(4, 1), pht41: NewMat(4, 1),
-		r1: NewMat(1, 1), s1: NewMat(1, 1), s1inv: NewMat(1, 1),
-		aug1: NewMat(1, 2),
-		y1:   NewMat(1, 1), k41: NewMat(4, 1),
-	}
-	// H selects [x, y] for GNSS, [v] for odometry.
-	s.h2.Set(0, 0, 1)
-	s.h2.Set(1, 1, 1)
-	s.h2T.TOf(s.h2)
-	r2 := cfg.GNSSPosStdDev * cfg.GNSSPosStdDev
-	s.r2.Set(0, 0, r2)
-	s.r2.Set(1, 1, r2)
-	s.h1.Set(0, 3, 1)
-	s.h1T.TOf(s.h1)
-	s.r1.Set(0, 0, cfg.OdomSpeedStdev*cfg.OdomSpeedStdev)
-	return s
-}
+// gnssH observes [x, y]; odomH observes v.
+var (
+	gnssH = [2][4]float64{{1, 0, 0, 0}, {0, 1, 0, 0}}
+	odomH = [4]float64{0, 0, 0, 1}
+)
 
 // NewEKF builds a filter initialised at the given pose and speed.
 func NewEKF(cfg EKFConfig, t0 float64, pose geom.Pose, speed float64) *EKF {
 	cfg.defaults()
-	f := &EKF{cfg: cfg, x: NewMat(4, 1), p: Eye(4), t: t0, initialized: true}
-	f.x.Set(0, 0, pose.Pos.X)
-	f.x.Set(1, 0, pose.Pos.Y)
-	f.x.Set(2, 0, pose.Heading)
-	f.x.Set(3, 0, speed)
+	f := &EKF{cfg: cfg, p: identity4, t: t0}
+	f.x = vec4{pose.Pos.X, pose.Pos.Y, pose.Heading, speed}
 	s2 := cfg.InitialPosStdDev * cfg.InitialPosStdDev
-	f.p.Set(0, 0, s2)
-	f.p.Set(1, 1, s2)
-	f.p.Set(2, 2, 0.05)
-	f.p.Set(3, 3, 0.25)
+	f.p[0][0] = s2
+	f.p[1][1] = s2
+	f.p[2][2] = 0.05
+	f.p[3][3] = 0.25
 	f.lastAccepted = true
-	f.s = newEKFScratch(cfg)
 	return f
 }
 
@@ -182,35 +136,59 @@ func (f *EKF) PredictIMU(r sensors.IMUReading) {
 	f.t = r.T
 	f.yawRate = r.YawRate
 
-	th := f.x.At(2, 0)
-	v := f.x.At(3, 0)
+	th := f.x[2]
+	v := f.x[3]
 	// Midpoint heading for the position propagation.
 	thMid := th + r.YawRate*dt/2
-	f.x.Set(0, 0, f.x.At(0, 0)+v*math.Cos(thMid)*dt)
-	f.x.Set(1, 0, f.x.At(1, 0)+v*math.Sin(thMid)*dt)
-	f.x.Set(2, 0, geom.NormalizeAngle(th+r.YawRate*dt))
-	f.x.Set(3, 0, math.Max(0, v+r.Accel*dt))
+	cos, sin := math.Cos(thMid), math.Sin(thMid)
+	f.x[0] = f.x[0] + v*cos*dt
+	f.x[1] = f.x[1] + v*sin*dt
+	f.x[2] = geom.NormalizeAngle(th + r.YawRate*dt)
+	f.x[3] = math.Max(0, v+r.Accel*dt)
 
-	// Jacobian of the motion model wrt the state.
-	s := &f.s
-	s.F.SetEye()
-	s.F.Set(0, 2, -v*math.Sin(thMid)*dt)
-	s.F.Set(0, 3, math.Cos(thMid)*dt)
-	s.F.Set(1, 2, v*math.Cos(thMid)*dt)
-	s.F.Set(1, 3, math.Sin(thMid)*dt)
+	// Jacobian of the motion model wrt the state: the identity plus the
+	// position rows' heading and speed sensitivities.
+	f02 := -v * sin * dt
+	f03 := cos * dt
+	f12 := v * cos * dt
+	f13 := sin * dt
 
-	s.Q.SetZero()
-	s.Q.Set(0, 0, f.cfg.PosProcNoise*dt)
-	s.Q.Set(1, 1, f.cfg.PosProcNoise*dt)
-	s.Q.Set(2, 2, f.cfg.HeadingProcNoise*dt)
-	s.Q.Set(3, 3, f.cfg.SpeedProcNoise*dt)
+	// F·p. F's rows are unit rows plus two entries in rows 0 and 1, so
+	// Mul's sum is p's row (0 + 1·pᵢⱼ) plus each non-zero entry's term.
+	var fp mat4
+	for j := 0; j < 4; j++ {
+		fp[0][j] = 0 + f.p[0][j]
+		if f02 != 0 {
+			fp[0][j] += f02 * f.p[2][j]
+		}
+		if f03 != 0 {
+			fp[0][j] += f03 * f.p[3][j]
+		}
+		fp[1][j] = 0 + f.p[1][j]
+		if f12 != 0 {
+			fp[1][j] += f12 * f.p[2][j]
+		}
+		if f13 != 0 {
+			fp[1][j] += f13 * f.p[3][j]
+		}
+		fp[2][j] = 0 + f.p[2][j]
+		fp[3][j] = 0 + f.p[3][j]
+	}
+	ft := mat4{{1, 0, 0, 0}, {0, 1, 0, 0}, {f02, f12, 1, 0}, {f03, f13, 0, 1}}
 
-	// p ← sym(F·p·Fᵀ + Q), on scratch.
-	s.FT.TOf(s.F)
-	s.t44a.MulOf(s.F, f.p)
-	s.t44b.MulOf(s.t44a, s.FT)
-	s.t44b.AddOf(s.t44b, s.Q)
-	f.p.SymmetrizeOf(s.t44b)
+	// p ← sym(F·p·Fᵀ + Q), Q the process noise on the diagonal.
+	q := vec4{f.cfg.PosProcNoise * dt, f.cfg.PosProcNoise * dt, f.cfg.HeadingProcNoise * dt, f.cfg.SpeedProcNoise * dt}
+	fpf := mul4(&fp, &ft)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			qij := 0.0
+			if i == j {
+				qij = q[i]
+			}
+			fpf[i][j] = fpf[i][j] + qij
+		}
+	}
+	f.p = symmetrize4(&fpf)
 }
 
 // UpdateGNSS fuses a position fix. It returns the normalised innovation
@@ -221,21 +199,36 @@ func (f *EKF) UpdateGNSS(fix sensors.GNSSFix) (nis float64, accepted bool) {
 	if !fix.Valid {
 		return 0, false
 	}
-	s := &f.s
+	y := [2]float64{fix.Pos.X - f.x[0], fix.Pos.Y - f.x[1]}
 
-	// Innovation.
-	s.y2.Set(0, 0, fix.Pos.X-f.x.At(0, 0))
-	s.y2.Set(1, 0, fix.Pos.Y-f.x.At(1, 0))
+	// S = H·p·Hᵀ + R: H·p is p's top rows (0 + 1·pᵢⱼ, H's zeros skipped).
+	var s [2][2]float64
+	r2 := f.cfg.GNSSPosStdDev * f.cfg.GNSSPosStdDev
+	for i := 0; i < 2; i++ {
+		var hp vec4
+		for j := 0; j < 4; j++ {
+			hp[j] = 0 + f.p[i][j]
+		}
+		for j := 0; j < 2; j++ {
+			rij := 0.0
+			if i == j {
+				rij = r2
+			}
+			s[i][j] = mulSum(hp[:], gnssH[j][:]) + rij
+		}
+	}
+	sInv := inv2(s)
 
-	// S = H·p·Hᵀ + R; NIS = yᵀ·S⁻¹·y, on scratch.
-	s.t24.MulOf(s.h2, f.p)
-	s.s2.MulOf(s.t24, s.h2T)
-	s.s2.AddOf(s.s2, s.r2)
-	s.s2inv.InvOf(s.s2, s.aug2)
-	s.y2T.TOf(s.y2)
-	s.t12.MulOf(s.y2T, s.s2inv)
-	s.nis1.MulOf(s.t12, s.y2)
-	nis = s.nis1.At(0, 0)
+	// NIS = yᵀ·S⁻¹·y.
+	var ys [2]float64
+	for k := 0; k < 2; k++ {
+		if y[k] != 0 {
+			for j := 0; j < 2; j++ {
+				ys[j] += y[k] * sInv[k][j]
+			}
+		}
+	}
+	nis = mulSum(ys[:], y[:])
 	f.lastNIS = nis
 
 	if f.cfg.GateThreshold > 0 && nis > f.cfg.GateThreshold {
@@ -247,17 +240,36 @@ func (f *EKF) UpdateGNSS(fix sensors.GNSSFix) (nis float64, accepted bool) {
 	f.rejectStreak = 0
 
 	// K = p·Hᵀ·S⁻¹; x ← x + K·y; p ← sym((I − K·H)·p).
-	s.pht42.MulOf(f.p, s.h2T)
-	s.k42.MulOf(s.pht42, s.s2inv)
-	s.dx.MulOf(s.k42, s.y2)
-	f.x.AddOf(f.x, s.dx)
-	f.x.Set(2, 0, geom.NormalizeAngle(f.x.At(2, 0)))
-	f.x.Set(3, 0, math.Max(0, f.x.At(3, 0)))
-	s.t44a.MulOf(s.k42, s.h2)
-	s.t44b.SetEye()
-	s.t44b.SubOf(s.t44b, s.t44a)
-	s.t44c.MulOf(s.t44b, f.p)
-	f.p.SymmetrizeOf(s.t44c)
+	var k [4][2]float64
+	for i := 0; i < 4; i++ {
+		pht := [2]float64{mulSum(f.p[i][:], gnssH[0][:]), mulSum(f.p[i][:], gnssH[1][:])}
+		for c := 0; c < 2; c++ {
+			if pht[c] != 0 {
+				for j := 0; j < 2; j++ {
+					k[i][j] += pht[c] * sInv[c][j]
+				}
+			}
+		}
+	}
+	var ikh mat4
+	for i := 0; i < 4; i++ {
+		f.x[i] = f.x[i] + mulSum(k[i][:], y[:])
+		var kh vec4
+		for c := 0; c < 2; c++ {
+			if k[i][c] != 0 {
+				for j := 0; j < 4; j++ {
+					kh[j] += k[i][c] * gnssH[c][j]
+				}
+			}
+		}
+		for j := 0; j < 4; j++ {
+			ikh[i][j] = identity4[i][j] - kh[j]
+		}
+	}
+	f.x[2] = geom.NormalizeAngle(f.x[2])
+	f.x[3] = math.Max(0, f.x[3])
+	ikhp := mul4(&ikh, &f.p)
+	f.p = symmetrize4(&ikhp)
 	return nis, true
 }
 
@@ -267,32 +279,124 @@ func (f *EKF) UpdateOdom(r sensors.OdomReading) {
 	if !r.Valid {
 		return
 	}
-	s := &f.s
-	s.y1.Set(0, 0, r.Speed-f.x.At(3, 0))
-	s.t14.MulOf(s.h1, f.p)
-	s.s1.MulOf(s.t14, s.h1T)
-	s.s1.AddOf(s.s1, s.r1)
-	s.s1inv.InvOf(s.s1, s.aug1)
-	s.pht41.MulOf(f.p, s.h1T)
-	s.k41.MulOf(s.pht41, s.s1inv)
-	s.dx.MulOf(s.k41, s.y1)
-	f.x.AddOf(f.x, s.dx)
-	f.x.Set(3, 0, math.Max(0, f.x.At(3, 0)))
-	s.t44a.MulOf(s.k41, s.h1)
-	s.t44b.SetEye()
-	s.t44b.SubOf(s.t44b, s.t44a)
-	s.t44c.MulOf(s.t44b, f.p)
-	f.p.SymmetrizeOf(s.t44c)
+	y := r.Speed - f.x[3]
+	// S = H·p·Hᵀ + R: H·p is p's speed row (0 + 1·p₃ⱼ, H's zeros skipped).
+	var hp vec4
+	for j := 0; j < 4; j++ {
+		hp[j] = 0 + f.p[3][j]
+	}
+	sInv := inv1(mulSum(hp[:], odomH[:]) + f.cfg.OdomSpeedStdev*f.cfg.OdomSpeedStdev)
+
+	// K = p·Hᵀ·S⁻¹; x ← x + K·y; p ← sym((I − K·H)·p).
+	var ikh mat4
+	for i := 0; i < 4; i++ {
+		var k float64
+		if pht := mulSum(f.p[i][:], odomH[:]); pht != 0 {
+			k += pht * sInv
+		}
+		var dx float64
+		var kh vec4
+		if k != 0 {
+			dx += k * y
+			for j := 0; j < 4; j++ {
+				kh[j] += k * odomH[j]
+			}
+		}
+		f.x[i] = f.x[i] + dx
+		for j := 0; j < 4; j++ {
+			ikh[i][j] = identity4[i][j] - kh[j]
+		}
+	}
+	f.x[3] = math.Max(0, f.x[3])
+	ikhp := mul4(&ikh, &f.p)
+	f.p = symmetrize4(&ikhp)
+}
+
+// mulSum is Mat.Mul's inner sum Σₖ aₖ·bₖ: ascending k from +0, skipping
+// terms whose left factor is zero.
+func mulSum(a, b []float64) float64 {
+	var sum float64
+	for k, ak := range a {
+		if ak != 0 {
+			sum += ak * b[k]
+		}
+	}
+	return sum
+}
+
+// mul4 returns a·b in Mat.Mul's loop order.
+func mul4(a, b *mat4) (out mat4) {
+	for i := 0; i < 4; i++ {
+		for k := 0; k < 4; k++ {
+			aik := a[i][k]
+			if aik == 0 {
+				continue
+			}
+			for j := 0; j < 4; j++ {
+				out[i][j] += aik * b[k][j]
+			}
+		}
+	}
+	return out
+}
+
+// symmetrize4 returns (a + aᵀ)/2 with Mat.Symmetrize's per-element sums.
+func symmetrize4(a *mat4) (out mat4) {
+	for i := 0; i < 4; i++ {
+		for j := i; j < 4; j++ {
+			out[i][j] = (a[i][j] + a[j][i]) / 2
+			out[j][i] = (a[j][i] + a[i][j]) / 2
+		}
+	}
+	return out
+}
+
+// inv2 inverts a 2×2 matrix with Mat.Inv's Gauss-Jordan elimination: the
+// same partial pivoting, row operations and singular panic.
+func inv2(m [2][2]float64) [2][2]float64 {
+	aug := [2][4]float64{{m[0][0], m[0][1], 1, 0}, {m[1][0], m[1][1], 0, 1}}
+	for col := 0; col < 2; col++ {
+		piv := col
+		for r := col + 1; r < 2; r++ {
+			if abs(aug[r][col]) > abs(aug[piv][col]) {
+				piv = r
+			}
+		}
+		if abs(aug[piv][col]) < 1e-14 {
+			panic("fusion: singular matrix in Inv")
+		}
+		aug[col], aug[piv] = aug[piv], aug[col]
+		d := aug[col][col]
+		for j := 0; j < 4; j++ {
+			aug[col][j] = aug[col][j] / d
+		}
+		r := 1 - col
+		if f := aug[r][col]; f != 0 {
+			for j := 0; j < 4; j++ {
+				aug[r][j] = aug[r][j] - f*aug[col][j]
+			}
+		}
+	}
+	return [2][2]float64{{aug[0][2], aug[0][3]}, {aug[1][2], aug[1][3]}}
+}
+
+// inv1 is Mat.Inv of a 1×1 matrix: the reciprocal, with the singular
+// panic.
+func inv1(a float64) float64 {
+	if abs(a) < 1e-14 {
+		panic("fusion: singular matrix in Inv")
+	}
+	return 1 / a
 }
 
 // Estimate returns the current fused estimate.
 func (f *EKF) Estimate() Estimate {
-	sx := math.Sqrt(math.Max(0, f.p.At(0, 0)))
-	sy := math.Sqrt(math.Max(0, f.p.At(1, 1)))
+	sx := math.Sqrt(math.Max(0, f.p[0][0]))
+	sy := math.Sqrt(math.Max(0, f.p[1][1]))
 	return Estimate{
 		T:         f.t,
-		Pose:      geom.Pose{Pos: geom.V(f.x.At(0, 0), f.x.At(1, 0)), Heading: f.x.At(2, 0)},
-		Speed:     f.x.At(3, 0),
+		Pose:      geom.Pose{Pos: geom.V(f.x[0], f.x[1]), Heading: f.x[2]},
+		Speed:     f.x[3],
 		YawRate:   f.yawRate,
 		PosStdDev: math.Sqrt(sx * sy),
 	}
@@ -309,7 +413,13 @@ func (f *EKF) RejectStreak() int { return f.rejectStreak }
 
 // Covariance returns a copy of the covariance matrix (for tests and
 // diagnostics).
-func (f *EKF) Covariance() Mat { return f.p.Clone() }
+func (f *EKF) Covariance() Mat {
+	c := NewMat(4, 4)
+	for i, row := range f.p {
+		copy(c.a[i*4:], row[:])
+	}
+	return c
+}
 
 // String implements fmt.Stringer.
 func (f *EKF) String() string {

@@ -2,9 +2,9 @@ package fusion
 
 import "fmt"
 
-// Mat is a dense row-major matrix just big enough for the 4-state EKF.
-// A dedicated micro-implementation keeps the filter dependency-free and
-// allocation-transparent.
+// Mat is a small dense row-major matrix: the LQR design's arithmetic and
+// the filter's covariance export. A dedicated micro-implementation keeps
+// the package dependency-free.
 type Mat struct {
 	r, c int
 	a    []float64
@@ -170,170 +170,6 @@ func (m Mat) Clone() Mat {
 	out := NewMat(m.r, m.c)
 	copy(out.a, m.a)
 	return out
-}
-
-// --- In-place variants ----------------------------------------------------
-//
-// The *Of methods below write their result into the receiver's existing
-// backing array instead of allocating a fresh matrix. They replicate the
-// allocating variants' element-wise arithmetic exactly (same loop order,
-// same accumulation sequence), so a computation rewritten onto preallocated
-// scratch produces bit-identical results — the property the EKF relies on
-// to keep golden experiment outputs stable while running allocation-free.
-
-// SetZero zeroes every element in place.
-func (m Mat) SetZero() {
-	for i := range m.a {
-		m.a[i] = 0
-	}
-}
-
-// SetEye sets the receiver to the identity in place (square matrices only).
-func (m Mat) SetEye() {
-	if m.r != m.c {
-		panic("fusion: SetEye needs a square matrix")
-	}
-	m.SetZero()
-	for i := 0; i < m.r; i++ {
-		m.Set(i, i, 1)
-	}
-}
-
-// CopyFrom copies a into the receiver (same shape).
-func (m Mat) CopyFrom(a Mat) {
-	m.mustSameShape(a)
-	copy(m.a, a.a)
-}
-
-// MulOf stores a·b into the receiver. The receiver must not alias a or b.
-func (m Mat) MulOf(a, b Mat) {
-	if a.c != b.r {
-		panic(fmt.Sprintf("fusion: dimension mismatch %dx%d · %dx%d", a.r, a.c, b.r, b.c))
-	}
-	if m.r != a.r || m.c != b.c {
-		panic(fmt.Sprintf("fusion: MulOf destination %dx%d for %dx%d product", m.r, m.c, a.r, b.c))
-	}
-	m.SetZero()
-	for i := 0; i < a.r; i++ {
-		for k := 0; k < a.c; k++ {
-			aik := a.a[i*a.c+k]
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < b.c; j++ {
-				m.a[i*b.c+j] += aik * b.a[k*b.c+j]
-			}
-		}
-	}
-}
-
-// AddOf stores a + b element-wise into the receiver; the receiver may alias
-// either operand.
-func (m Mat) AddOf(a, b Mat) {
-	a.mustSameShape(b)
-	m.mustSameShape(a)
-	for i := range m.a {
-		m.a[i] = a.a[i] + b.a[i]
-	}
-}
-
-// SubOf stores a − b element-wise into the receiver; the receiver may alias
-// either operand.
-func (m Mat) SubOf(a, b Mat) {
-	a.mustSameShape(b)
-	m.mustSameShape(a)
-	for i := range m.a {
-		m.a[i] = a.a[i] - b.a[i]
-	}
-}
-
-// TOf stores aᵀ into the receiver. The receiver must not alias a.
-func (m Mat) TOf(a Mat) {
-	if m.r != a.c || m.c != a.r {
-		panic(fmt.Sprintf("fusion: TOf destination %dx%d for %dx%d transpose", m.r, m.c, a.c, a.r))
-	}
-	for i := 0; i < a.r; i++ {
-		for j := 0; j < a.c; j++ {
-			m.Set(j, i, a.At(i, j))
-		}
-	}
-}
-
-// SymmetrizeOf stores (a + aᵀ)/2 into the receiver; the receiver may alias
-// a (the mirror pair is read before either half is written).
-func (m Mat) SymmetrizeOf(a Mat) {
-	if a.r != a.c {
-		panic("fusion: Symmetrize needs a square matrix")
-	}
-	m.mustSameShape(a)
-	for i := 0; i < a.r; i++ {
-		for j := i; j < a.c; j++ {
-			upper := (a.At(i, j) + a.At(j, i)) / 2
-			lower := (a.At(j, i) + a.At(i, j)) / 2
-			m.Set(i, j, upper)
-			m.Set(j, i, lower)
-		}
-	}
-}
-
-// InvOf stores a⁻¹ into the receiver using the caller-provided n×2n
-// augmented workspace (the same Gauss-Jordan elimination as Inv, including
-// pivot order, so the two agree bit-for-bit). The receiver must not alias a.
-func (m Mat) InvOf(a, aug Mat) {
-	if a.r != a.c {
-		panic("fusion: Inv needs a square matrix")
-	}
-	n := a.r
-	m.mustSameShape(a)
-	if aug.r != n || aug.c != 2*n {
-		panic(fmt.Sprintf("fusion: InvOf workspace %dx%d, need %dx%d", aug.r, aug.c, n, 2*n))
-	}
-	aug.SetZero()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			aug.Set(i, j, a.At(i, j))
-		}
-		aug.Set(i, n+i, 1)
-	}
-	for col := 0; col < n; col++ {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if abs(aug.At(r, col)) > abs(aug.At(piv, col)) {
-				piv = r
-			}
-		}
-		if abs(aug.At(piv, col)) < 1e-14 {
-			panic("fusion: singular matrix in Inv")
-		}
-		if piv != col {
-			for j := 0; j < 2*n; j++ {
-				a, b := aug.At(col, j), aug.At(piv, j)
-				aug.Set(col, j, b)
-				aug.Set(piv, j, a)
-			}
-		}
-		d := aug.At(col, col)
-		for j := 0; j < 2*n; j++ {
-			aug.Set(col, j, aug.At(col, j)/d)
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := aug.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < 2*n; j++ {
-				aug.Set(r, j, aug.At(r, j)-f*aug.At(col, j))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, aug.At(i, n+j))
-		}
-	}
 }
 
 func (m Mat) mustSameShape(n Mat) {

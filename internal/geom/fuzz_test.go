@@ -65,8 +65,8 @@ func FuzzSplineProject(f *testing.F) {
 // FuzzProjectRange is the differential check of the windowed projection
 // and the lattice lookups: over arbitrary splines, query points and
 // windows (wrapped, negative, ≥2L, clamped on open paths, empty, NaN,
-// at least a lap), ProjectRange must equal the full-scan oracle bit for
-// bit, and a curvature cursor swept across the window must equal
+// at least a lap), Project and ProjectRange must equal the full-scan
+// oracle bit for bit, and a curvature cursor swept across the window must equal
 // CurvatureAt and the pre-cursor oracle bit for bit.
 func FuzzProjectRange(f *testing.F) {
 	circle := []float64{0, 0, 10, 0, 10, 10, 0, 10}
@@ -96,6 +96,7 @@ func FuzzProjectRange(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkProject(t, sp.lattice, Vec2{X: qx, Y: qy})
 		checkProjectRange(t, sp.lattice, Vec2{X: qx, Y: qy}, s0, s1)
 
 		// Sweep at most a few hundred arcs from s0 toward s1 (or a short
@@ -109,5 +110,34 @@ func FuzzProjectRange(f *testing.F) {
 			arcs = append(arcs, s0+float64(k)*step)
 		}
 		checkCurvatureSweep(t, sp, arcs)
+	})
+}
+
+// FuzzPolylineProject is the differential check of the vertex-pruned scan
+// on raw polylines, whose segment lengths vary freely (a short segment
+// beside a long one is where a vertex bound is tightest): Project and
+// ProjectRange must equal the full-scan oracle bit for bit, for query
+// points near the path, far from it and non-finite.
+func FuzzPolylineProject(f *testing.F) {
+	f.Add(0.0, 0.0, 10.0, 0.0, 10.3, 0.2, 10.3, 9.0, -4.0, 9.5, 5.0, 0.4, 3.0, 25.0, false)
+	f.Add(0.0, 0.0, 10.0, 0.0, 10.3, 0.2, 10.3, 9.0, -4.0, 9.5, 10.1, 0.1, 20.0, 45.0, true)
+	f.Add(0.0, 0.0, 1e4, 0.0, 1e4, 1e-3, 0.0, 1e-3, 5e3, 5e3, 5e3, 5e-4, -10.0, 7.0, true)
+	f.Add(-1e4, 1e4, 1e4, -1e4, 1e4, 1e4, -1e4, -1e4, 0.5, 0.5, 0.0, 0.0, 0.0, 1e5, false)
+	f.Add(1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 4.0, 2.0, 5.0, 1.0, math.Inf(1), 1.0, 0.0, 3.0, false)
+	f.Add(1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 4.0, 2.0, 5.0, 1.0, math.NaN(), 1.0, 0.0, 3.0, true)
+	f.Fuzz(func(t *testing.T, x1, y1, x2, y2, x3, y3, x4, y4, x5, y5, qx, qy, s0, s1 float64, closed bool) {
+		for _, c := range []float64{x1, y1, x2, y2, x3, y3, x4, y4, x5, y5} {
+			if math.IsNaN(c) || math.Abs(c) > fuzzCoordBound {
+				t.Skip("out-of-scope input")
+			}
+		}
+		pts := []Vec2{{X: x1, Y: y1}, {X: x2, Y: y2}, {X: x3, Y: y3}, {X: x4, Y: y4}, {X: x5, Y: y5}}
+		p, err := newPolyline(pts, closed)
+		if err != nil {
+			return
+		}
+		q := Vec2{X: qx, Y: qy}
+		checkProject(t, p, q)
+		checkProjectRange(t, p, q, s0, s1)
 	})
 }

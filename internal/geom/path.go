@@ -34,6 +34,8 @@ type Polyline struct {
 	pts    []Vec2
 	cum    []float64 // cumulative arc length at each vertex
 	closed bool
+	maxSeg float64 // longest segment, for the projection's vertex bound
+	extent float64 // largest vertex coordinate magnitude
 }
 
 // ErrDegeneratePath is returned when a path cannot be constructed from the
@@ -73,12 +75,18 @@ func newPolyline(pts []Vec2, closed bool) (*Polyline, error) {
 		segs = n
 	}
 	cum := make([]float64, segs+1)
+	var maxSeg, extent float64
 	for i := 0; i < segs; i++ {
 		a := clean[i]
 		b := clean[(i+1)%n]
-		cum[i+1] = cum[i] + a.Dist(b)
+		l := a.Dist(b)
+		cum[i+1] = cum[i] + l
+		maxSeg = math.Max(maxSeg, l)
 	}
-	return &Polyline{pts: clean, cum: cum, closed: closed}, nil
+	for _, v := range clean {
+		extent = math.Max(extent, math.Max(math.Abs(v.X), math.Abs(v.Y)))
+	}
+	return &Polyline{pts: clean, cum: cum, closed: closed, maxSeg: maxSeg, extent: extent}, nil
 }
 
 // Points returns a copy of the polyline's vertices.
@@ -221,10 +229,18 @@ func (p *Polyline) Project(q Vec2) (s, lateral float64) {
 type nearest struct{ d2, s, lat float64 }
 
 // nearestIn folds segments [lo, hi) into best in ascending index order;
-// the first strictly closest segment wins ties.
+// the first strictly closest segment wins ties. Segments whose start
+// vertex lies beyond pruneRadiusSq are skipped: each is provably farther
+// than the segment of the nearest start vertex, so it can be neither the
+// closest segment nor the first of several tied ones.
 func (p *Polyline) nearestIn(q Vec2, lo, hi int, best *nearest) {
+	r2 := p.pruneRadiusSq(q, lo, hi)
 	for i := lo; i < hi; i++ {
-		a, b := p.segStart(i), p.segEnd(i)
+		a := p.segStart(i)
+		if q.Sub(a).NormSq() > r2 {
+			continue
+		}
+		b := p.segEnd(i)
 		ab := b.Sub(a)
 		L2 := ab.NormSq()
 		var t float64
@@ -240,6 +256,39 @@ func (p *Polyline) nearestIn(q Vec2, lo, hi int, best *nearest) {
 			best.lat = math.Copysign(math.Sqrt(d2), ab.Cross(q.Sub(a)))
 		}
 	}
+}
+
+// Bounds of the projection's vertex pruning. Within pruneCoordBound every
+// squared distance is far from overflow, and the margin, relative to the
+// coordinate magnitude plus an absolute floor, exceeds the accumulated
+// rounding of the distance and segment arithmetic (a few hundred ULPs of
+// the magnitude at most) by orders of magnitude.
+const (
+	pruneCoordBound = 1e100
+	pruneMarginRel  = 1e-9
+	pruneMarginAbs  = 1e-9
+)
+
+// pruneRadiusSq returns the squared distance from q beyond which a start
+// vertex's segment in [lo, hi) cannot be the nearest one. With U the least
+// squared distance from q to a start vertex in the range, a segment of
+// length at most maxSeg starting farther than √U + maxSeg lies farther
+// from q than that vertex, and so than that vertex's segment; the margin
+// absorbs rounding, so the skipped segment's computed distance is strictly
+// larger too. Out-of-bound or non-finite coordinates prune nothing.
+func (p *Polyline) pruneRadiusSq(q Vec2, lo, hi int) float64 {
+	m := math.Max(p.extent, math.Max(math.Abs(q.X), math.Abs(q.Y)))
+	if !(m <= pruneCoordBound) {
+		return math.Inf(1)
+	}
+	u := math.Inf(1)
+	for _, v := range p.pts[lo:hi] {
+		if d := q.Sub(v).NormSq(); d < u {
+			u = d
+		}
+	}
+	r := math.Sqrt(u) + p.maxSeg + pruneMarginRel*m + pruneMarginAbs
+	return r * r
 }
 
 // Resample returns a new polyline with vertices spaced ds apart along the

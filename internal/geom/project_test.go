@@ -171,6 +171,17 @@ func checkProjectRange(t *testing.T, p *Polyline, q Vec2, s0, s1 float64) {
 	}
 }
 
+// checkProject fails unless Project matches the full-scan oracle's global
+// projection bit for bit.
+func checkProject(t *testing.T, p *Polyline, q Vec2) {
+	t.Helper()
+	s, lat := p.Project(q)
+	ws, wlat := projectRangeFullScan(p, q, 0, 0) // an empty window scans globally
+	if !sameBits(s, ws) || !sameBits(lat, wlat) {
+		t.Fatalf("Project(%v) = (%v, %v), full scan (%v, %v)", q, s, lat, ws, wlat)
+	}
+}
+
 // checkCurvatureSweep fails unless a cursor swept over arcs, the spline's
 // CurvatureAt and the pre-cursor oracle all agree bit for bit.
 func checkCurvatureSweep(t *testing.T, sp *Spline, arcs []float64) {
@@ -215,6 +226,7 @@ func TestProjectRangeMatchesFullScan(t *testing.T) {
 		L := p.Length()
 		queries := []Vec2{p.PointAt(0.3 * L).Add(V(0.4, -0.7)), p.PointAt(0.97 * L), V(1e3, -2e3), V(0, 0)}
 		for _, q := range queries {
+			checkProject(t, p, q)
 			for _, w := range windowCases {
 				s0 := w[0] * L
 				checkProjectRange(t, p, q, s0, s0+w[1]*L)

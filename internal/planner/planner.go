@@ -84,10 +84,19 @@ func (sp *SpeedProfile) curveSpeed(cur *geom.CurvatureCursor, s float64) float64
 // The preview samples advance along the path, so one curvature cursor
 // walks them all; it lives on this call's stack, which keeps TargetAt
 // safe for concurrent use.
+//
+// The preview stops at the braking horizon, the first sample distance d
+// with √(2·a·d) ≥ v: every sample from there on has a reachable speed of
+// at least √(2·a·d) ≥ v (rounding is monotone and ahead² ≥ 0, also when
+// the two terms fuse into one FMA; a NaN ahead never lowers v), so none
+// can lower v. The result is the full preview's bit for bit.
 func (sp *SpeedProfile) TargetAt(s float64) float64 {
 	cur := geom.NewCurvatureCursor(sp.path)
 	v := sp.curveSpeed(&cur, s)
 	for d := sp.previewStep; d <= sp.preview; d += sp.previewStep {
+		if math.Sqrt(2*sp.maxBrake*d) >= v {
+			break
+		}
 		ahead := sp.curveSpeed(&cur, s+d)
 		// v² = v_ahead² + 2·a·d  (braking backward from the constraint)
 		reachable := math.Sqrt(ahead*ahead + 2*sp.maxBrake*d)

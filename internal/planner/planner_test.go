@@ -353,3 +353,62 @@ func mustProject(p geom.Path, q geom.Vec2) float64 {
 	s, _ := p.Project(q)
 	return s
 }
+
+// targetAtFullPreview is TargetAt before the braking-horizon cut-off, kept
+// as the differential oracle: every one of the preview samples, each with
+// its own curvature lookup.
+func targetAtFullPreview(sp *SpeedProfile, s float64) float64 {
+	cur := geom.NewCurvatureCursor(sp.path)
+	v := sp.curveSpeed(&cur, s)
+	for d := sp.previewStep; d <= sp.preview; d += sp.previewStep {
+		ahead := sp.curveSpeed(&cur, s+d)
+		reachable := math.Sqrt(ahead*ahead + 2*sp.maxBrake*d)
+		if reachable < v {
+			v = reachable
+		}
+	}
+	return v
+}
+
+// TestTargetAtMatchesFullPreview holds the cut-off preview bit-equal to the
+// full one on every catalog track, with and without speed zones, for the
+// shuttle and the sedan, over arcs from a lap behind to three laps ahead
+// and NaN.
+func TestTargetAtMatchesFullPreview(t *testing.T) {
+	cat, err := track.Catalog(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]vehicle.Params{"shuttle": vehicle.ShuttleParams(), "sedan": vehicle.SedanParams()}
+	for _, name := range track.Names(cat) {
+		base := cat[name]
+		L := base.Path().Length()
+		zoned, err := base.WithZones(
+			track.SpeedZone{Start: 0, End: 0.1 * L, Limit: 2},
+			track.SpeedZone{Start: 0.45 * L, End: 0.6 * L, Limit: 3.5},
+			track.SpeedZone{Start: 0.9 * L, End: 1.5 * L, Limit: 1},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range []*track.Track{base, zoned} {
+			for pname, p := range params {
+				sp, err := NewSpeedProfileForTrack(tr, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arcs := []float64{math.NaN(), -0.0, L, 2 * L, 3 * L, math.Nextafter(L, 0)}
+				for s := -L; s <= 3*L; s += 0.37 {
+					arcs = append(arcs, s)
+				}
+				for _, s := range arcs {
+					got, want := sp.TargetAt(s), targetAtFullPreview(sp, s)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s (%d zones, %s): TargetAt(%g) = %v, full preview %v",
+							name, len(tr.Zones()), pname, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}

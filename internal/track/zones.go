@@ -2,6 +2,7 @@ package track
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"adassure/internal/geom"
@@ -53,16 +54,11 @@ func (t *Track) Zones() []SpeedZone {
 }
 
 // LimitAt returns the speed limit applicable at arc position s, accounting
-// for zones. On closed tracks s is wrapped into [0, Length).
+// for zones. On closed tracks s is wrapped into [0, Length); a NaN or
+// infinite arc matches no zone and gets the base limit.
 func (t *Track) LimitAt(s float64) float64 {
 	if t.path.Closed() {
-		L := t.path.Length()
-		for s < 0 {
-			s += L
-		}
-		for s >= L {
-			s -= L
-		}
+		s = wrapArc(s, t.path.Length())
 	}
 	for _, z := range t.zones {
 		if s >= z.Start && s < z.End {
@@ -73,6 +69,32 @@ func (t *Track) LimitAt(s float64) float64 {
 		}
 	}
 	return t.speedLimit
+}
+
+// wrapArc reduces an arc on a closed path of length L into [0, L). On
+// [−L, 2L), the arcs a control tick passes, it adds or subtracts L at most
+// once, exactly as reduction by repeated subtraction would; beyond that it
+// takes the exact math.Mod remainder, so a huge or infinite arc costs one
+// step instead of |s|/L (an infinite arc reduces to NaN).
+func wrapArc(s, L float64) float64 {
+	switch {
+	case s >= 0 && s < L:
+		return s
+	case s >= L && s < 2*L:
+		return s - L
+	case s < 0 && s >= -L:
+	default:
+		s = math.Mod(s, L)
+		if !(s < 0) {
+			return s
+		}
+	}
+	// A negative remainder within one ULP of zero rounds up to L on the way
+	// back, which the subtraction rule then takes to 0.
+	if s += L; s >= L {
+		s -= L
+	}
+	return s
 }
 
 // FromWaypoints builds a custom route track through the given waypoints —

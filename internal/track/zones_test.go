@@ -3,6 +3,7 @@ package track
 import (
 	"math"
 	"testing"
+	"time"
 
 	"adassure/internal/geom"
 )
@@ -117,5 +118,61 @@ func TestZonesCopied(t *testing.T) {
 	zs[0].Limit = 99
 	if tr.Zones()[0].Limit != 3 {
 		t.Error("Zones returned aliased storage")
+	}
+}
+
+// TestLimitAtReturnsOnHugeArcs: on a closed track LimitAt must reduce any
+// arc in bounded time. Reducing by repeated subtraction never returned for
+// ±Inf and looked |s|/L times for huge finite arcs.
+func TestLimitAtReturnsOnHugeArcs(t *testing.T) {
+	base, err := Circle(25, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := base.WithZones(SpeedZone{Start: 0, End: 10, Limit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, s := range []float64{math.Inf(1), math.Inf(-1), 1e300, -1e300, math.NaN()} {
+			if got := tr.LimitAt(s); got != 2 && got != 8 {
+				t.Errorf("LimitAt(%g) = %g, want a track limit", s, got)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("LimitAt did not return for an infinite or huge arc")
+	}
+}
+
+// TestLimitAtWrapMatchesSubtraction holds the wrap bit-equal to reduction
+// by repeated subtraction on [−L, 2L), the arcs a control tick passes.
+func TestLimitAtWrapMatchesSubtraction(t *testing.T) {
+	base, err := Circle(25, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := base.Path().Length()
+	subtract := func(s float64) float64 {
+		for s < 0 {
+			s += L
+		}
+		for s >= L {
+			s -= L
+		}
+		return s
+	}
+	arcs := []float64{-L, -1e-300, -0.0, 0, math.Nextafter(L, 0), L, math.Nextafter(2*L, 0), -math.Nextafter(L, 0)}
+	for s := -L; s < 2*L; s += 0.173 {
+		arcs = append(arcs, s)
+	}
+	for _, s := range arcs {
+		if got, want := wrapArc(s, L), subtract(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("wrapArc(%v) = %v, subtraction %v", s, got, want)
+		}
 	}
 }
