@@ -116,10 +116,12 @@ fuzz-smoke:
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzProjectRange$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzPolylineProject$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fusion -run '^$$' -fuzz '^FuzzEKFMatchesMatOracle$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mutate -run '^$$' -fuzz FuzzMutantSpec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamNDJSON -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/search -run '^$$' -fuzz FuzzSearchSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRealGCD$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mutate -run '^$$' -fuzz '^FuzzMutantSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream -run '^$$' -fuzz '^FuzzStreamNDJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream -run '^$$' -fuzz '^FuzzParseFrameMatchesDecoder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzSearchSpec$$' -fuzztime $(FUZZTIME)
 
 # Regenerate every evaluation table/figure (see EXPERIMENTS.md).
 tables:

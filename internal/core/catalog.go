@@ -590,7 +590,18 @@ func A15LatticeConsistency(lim Limits, k float64) Assertion {
 // incommensurate inputs it collapses toward eps.
 func realGCD(a, b, eps float64) float64 {
 	for b > eps {
-		a, b = b, math.Mod(a, b)
+		// math.Mod(a, b) is a itself when 0 ≤ a < b, and a − b when
+		// b ≤ a < 2b, a subtraction Sterbenz's lemma makes exact. The
+		// sign guard matters: math.Mod(-100, 1.35) is not -100.
+		r := a
+		switch {
+		case 0 <= a && a < b:
+		case b <= a && a < 2*b:
+			r = a - b
+		default:
+			r = math.Mod(a, b)
+		}
+		a, b = b, r
 	}
 	return a
 }

@@ -469,3 +469,38 @@ func TestA15QuietOnConstantDeltas(t *testing.T) {
 		t.Error("A15 fired on constant-delta motion (degenerate lattice)")
 	}
 }
+
+// FuzzRealGCD holds realGCD's shortcuts bit-equal to the plain math.Mod
+// fold over arbitrary float64 triples, NaN matching NaN: negative inputs
+// and eps, ±0, ±Inf, subnormals and values on either side of 2b.
+func FuzzRealGCD(f *testing.F) {
+	modFold := func(a, b, eps float64) float64 {
+		for b > eps {
+			a, b = b, math.Mod(a, b)
+		}
+		return a
+	}
+	below2b := math.Nextafter(2*1.35, 0)
+	f.Add(2.5, 0.75, 1e-3)
+	f.Add(0.5, 0.25, 1e-6)
+	f.Add(-100.0, 1.35, -86.0)
+	f.Add(math.Copysign(0, -1), 1.35, -1.0)
+	f.Add(below2b, 1.35, 1e-9)
+	f.Add(2*1.35, 1.35, 1e-9)
+	f.Add(math.Nextafter(2*1.35, 3), 1.35, 1e-9)
+	f.Add(1.35, 1.35, 0.0)
+	f.Add(5e-324, 1e-323, -1.0)
+	f.Add(3e-308, 2.2250738585072014e-308, 0.0)
+	f.Add(math.MaxFloat64, math.MaxFloat64/1.5, 1.0)
+	f.Add(math.Inf(1), 2.0, 0.0)
+	f.Add(3.0, math.Inf(1), 0.0)
+	f.Add(math.NaN(), 2.0, 0.0)
+	f.Add(-3.0, -2.0, math.Inf(-1))
+	f.Fuzz(func(t *testing.T, a, b, eps float64) {
+		got, want := realGCD(a, b, eps), modFold(a, b, eps)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("realGCD(%v, %v, %v) = %v (%#x), math.Mod fold = %v (%#x)",
+				a, b, eps, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}

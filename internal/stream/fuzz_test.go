@@ -32,6 +32,10 @@ func FuzzStreamNDJSON(f *testing.F) {
 	f.Add([]byte("\n \n\t\r\n{\"T\":0.5}\n"))       // keep-alive blanks
 	f.Add([]byte("a\nb\nc\nd\ne\n{\"T\":1}\n"))     // budget exhaustion
 	f.Add([]byte("{\"T\":\"one\"}\n[1,2]\ntrue\n")) // wrong types
+	// Lines the fast scanner declines and encoding/json decides: case-folded
+	// keys (one with a Kelvin sign), an escaped key and nulls.
+	f.Add([]byte("{\"t\":1}\n{\"estx\":1,\"T\":2}\n{\"T\":3,\"RejectStrea\u212a\":1}\n"))
+	f.Add([]byte("{\"\\u0054\":1}\n{\"T\":null,\"GNSSValid\":null}\n{\"T\":2,\"T\":null}\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var events []stream.Event

@@ -1,11 +1,13 @@
 package stream_test
 
 import (
+	"encoding/json"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"adassure/internal/obs"
 	"adassure/internal/stream"
 )
 
@@ -101,9 +103,40 @@ func TestSessionSoakConcurrentStats(t *testing.T) {
 // TestSessionIngestAllocs pins the zero-allocation steady-state ingest
 // contract: once warmed up, pushing a clean frame through the session —
 // ring write, monitor step across the full catalog, stats update —
-// allocates nothing. Setup and warm-up cost is excluded by differencing
-// two run lengths, the same idiom the sim hot-path test uses.
+// allocates nothing.
 func TestSessionIngestAllocs(t *testing.T) {
+	assertZeroIngestAllocs(t, func(s *stream.Session, k int64) error {
+		return s.Ingest(cruiseFrame(k))
+	})
+}
+
+// TestSessionIngestLineAllocs extends the pin to the wire path: parsing a
+// clean NDJSON line and ingesting it allocates nothing either.
+func TestSessionIngestLineAllocs(t *testing.T) {
+	lines := make([][]byte, ingestAllocFrames)
+	for k := range lines {
+		line, err := json.Marshal(cruiseFrame(int64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[k] = line
+	}
+	assertZeroIngestAllocs(t, func(s *stream.Session, k int64) error {
+		return s.IngestLine(lines[k])
+	})
+}
+
+// ingestAllocFrames is how many frames assertZeroIngestAllocs ingests:
+// the warm-up, then each measured run twice, since AllocsPerRun calls its
+// function once before measuring.
+const ingestAllocFrames = 100 + 2*(500+4500)
+
+// assertZeroIngestAllocs warms a session up on frames 0–99, then ingests
+// 500 and 4500 more through ingest and fails unless the difference of the
+// two runs, which cancels setup and warm-up cost (the idiom the sim
+// hot-path test uses), is zero allocations per frame.
+func assertZeroIngestAllocs(t *testing.T, ingest func(s *stream.Session, k int64) error) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("allocation measurement needs long runs")
 	}
@@ -115,7 +148,7 @@ func TestSessionIngestAllocs(t *testing.T) {
 	// Warm up: first frames populate Rate-assertion history and any lazy
 	// state.
 	for ; next < 100; next++ {
-		if err := s.Ingest(cruiseFrame(next)); err != nil {
+		if err := ingest(s, next); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +156,7 @@ func TestSessionIngestAllocs(t *testing.T) {
 		return testing.AllocsPerRun(1, func() {
 			end := next + frames
 			for ; next < end; next++ {
-				if err := s.Ingest(cruiseFrame(next)); err != nil {
+				if err := ingest(s, next); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -143,8 +176,17 @@ func TestSessionIngestAllocs(t *testing.T) {
 
 // BenchmarkSessionIngest measures the per-frame streaming overhead the
 // EXPERIMENTS note quotes against batch monitoring.
-func BenchmarkSessionIngest(b *testing.B) {
-	s, err := stream.New(stream.Config{})
+func BenchmarkSessionIngest(b *testing.B) { benchmarkIngest(b, stream.Config{}) }
+
+// BenchmarkSessionIngestAttached is BenchmarkSessionIngest with a metrics
+// registry attached, as /v1/stream runs it: the ratio of the two is the
+// monitor's observability overhead on the stream path.
+func BenchmarkSessionIngestAttached(b *testing.B) {
+	benchmarkIngest(b, stream.Config{Obs: obs.NewRegistry()})
+}
+
+func benchmarkIngest(b *testing.B, cfg stream.Config) {
+	s, err := stream.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
